@@ -142,7 +142,8 @@ class Router {
   void GatherBlocks(std::vector<TopicFetch>& work);
 
   /// Pooled client checkout (clients are single-conversation; concurrent
-  /// queries each borrow their own).
+  /// queries each borrow their own). A pooled client keeps its connection
+  /// and its buffers' capacity from one query to the next.
   std::unique_ptr<ShardClient> AcquireClient(uint32_t shard) EXCLUDES(mu_);
   void ReleaseClient(uint32_t shard, std::unique_ptr<ShardClient> client)
       EXCLUDES(mu_);

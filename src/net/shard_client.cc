@@ -5,49 +5,33 @@
 namespace kbtim {
 namespace net {
 
-StatusOr<std::string> ShardClient::RoundTripOnce(const std::string& frame,
-                                                 MsgType expect) {
+Status ShardClient::RoundTripOnce(MsgType expect) {
   if (!conn_.valid()) {
     KBTIM_ASSIGN_OR_RETURN(
         conn_, Socket::Connect(host_, port_, options_.connect_timeout_ms));
   }
-  Status io = conn_.SendAll(frame.data(), frame.size(), options_.io_timeout_ms);
+  Status io =
+      conn_.SendAll(request_.data(), request_.size(), options_.io_timeout_ms);
+  FrameHeader header;
   if (io.ok()) {
-    std::string header(kFrameHeaderSize, '\0');
-    io = conn_.RecvAll(header.data(), header.size(), options_.io_timeout_ms);
-    if (io.ok()) {
-      StatusOr<FrameHeader> fh =
-          DecodeFrameHeader(header.data(), header.size());
-      if (fh.ok()) {
-        std::string payload(fh->payload_len, '\0');
-        io = conn_.RecvAll(payload.data(), payload.size(),
-                           options_.io_timeout_ms);
-        if (io.ok()) {
-          Status crc = VerifyFramePayload(*fh, payload);
-          if (crc.ok() && fh->type == expect) return payload;
-          io = crc.ok() ? Status::Corruption("unexpected response type")
-                        : std::move(crc);
-        }
-      } else {
-        io = fh.status();
-      }
-    }
+    io = RecvFrame(conn_, options_.io_timeout_ms, &header, &response_);
   }
+  if (io.ok() && header.type != expect) {
+    io = Status::Corruption("unexpected response type");
+  }
+  if (io.ok()) return io;
   // Transport or framing failure: this connection's stream state is
   // unknown, so it cannot carry another request.
   conn_.Close();
   return io;
 }
 
-StatusOr<std::string> ShardClient::RoundTrip(const std::string& frame,
-                                             MsgType expect,
-                                             bool* transport_failed) {
+Status ShardClient::RoundTrip(MsgType expect, bool* transport_failed) {
   if (transport_failed != nullptr) *transport_failed = false;
   Status last = Status::OK();
   for (uint32_t attempt = 0; attempt <= options_.max_reconnects; ++attempt) {
-    StatusOr<std::string> payload = RoundTripOnce(frame, expect);
-    if (payload.ok()) return payload;
-    last = payload.status();
+    last = RoundTripOnce(expect);
+    if (last.ok()) return last;
   }
   // Normalize to kUnavailable: the router keys breaker verdicts and
   // hedging off "this shard is unreachable", not the flavor of socket
@@ -58,28 +42,27 @@ StatusOr<std::string> ShardClient::RoundTrip(const std::string& frame,
 }
 
 StatusOr<IndexMeta> ShardClient::FetchMeta(bool* transport_failed) {
-  KBTIM_ASSIGN_OR_RETURN(std::string payload,
-                         RoundTrip(EncodeFrame(MsgType::kMetaRequest, ""),
-                                   MsgType::kMetaResponse, transport_failed));
-  return DecodeMetaResponse(payload);
+  EncodeFrame(MsgType::kMetaRequest, [](WireWriter*) {}, &request_);
+  KBTIM_RETURN_IF_ERROR(RoundTrip(MsgType::kMetaResponse, transport_failed));
+  return DecodeMetaResponse(response_);
 }
 
 StatusOr<SeedSetResult> ShardClient::Query(const ServiceRequest& request,
                                            bool* transport_failed) {
-  KBTIM_ASSIGN_OR_RETURN(
-      std::string payload,
-      RoundTrip(EncodeFrame(MsgType::kQueryRequest, EncodeQueryRequest(request)),
-                MsgType::kQueryResponse, transport_failed));
-  return DecodeQueryResponse(payload);
+  EncodeFrame(MsgType::kQueryRequest,
+              [&](WireWriter* w) { EncodeQueryRequest(request, w); },
+              &request_);
+  KBTIM_RETURN_IF_ERROR(RoundTrip(MsgType::kQueryResponse, transport_failed));
+  return DecodeQueryResponse(response_);
 }
 
 StatusOr<RrFetchResult> ShardClient::FetchRr(const RrFetchRequest& request,
                                              bool* transport_failed) {
-  KBTIM_ASSIGN_OR_RETURN(
-      std::string payload,
-      RoundTrip(EncodeFrame(MsgType::kFetchRequest, EncodeFetchRequest(request)),
-                MsgType::kFetchResponse, transport_failed));
-  return DecodeFetchResponse(payload);
+  EncodeFrame(MsgType::kFetchRequest,
+              [&](WireWriter* w) { EncodeFetchRequest(request, w); },
+              &request_);
+  KBTIM_RETURN_IF_ERROR(RoundTrip(MsgType::kFetchResponse, transport_failed));
+  return DecodeFetchResponse(response_);
 }
 
 }  // namespace net

@@ -18,7 +18,9 @@
 //     "queue full" is alive.
 //
 // Not thread-safe: one conversation at a time per client. The router
-// keeps one client per (shard, in-flight attempt).
+// keeps one client per (shard, in-flight attempt) and pools them, so the
+// request and response buffers a client keeps across RPCs stop allocating
+// once they have grown to the largest message the client has seen.
 #ifndef KBTIM_NET_SHARD_CLIENT_H_
 #define KBTIM_NET_SHARD_CLIENT_H_
 
@@ -70,19 +72,20 @@ class ShardClient {
   uint16_t port() const { return port_; }
 
  private:
-  /// Sends `request` (already framed) and reads one response frame of
-  /// type `expect`, redialing on transport failures per max_reconnects.
-  StatusOr<std::string> RoundTrip(const std::string& frame, MsgType expect,
-                                  bool* transport_failed);
+  /// Sends request_ (already framed) and reads one response frame of
+  /// type `expect` into response_, redialing on transport failures per
+  /// max_reconnects.
+  Status RoundTrip(MsgType expect, bool* transport_failed);
 
   /// One attempt over the current connection (dials if needed).
-  StatusOr<std::string> RoundTripOnce(const std::string& frame,
-                                      MsgType expect);
+  Status RoundTripOnce(MsgType expect);
 
   std::string host_;
   uint16_t port_;
   ShardClientOptions options_;
   Socket conn_;
+  std::string request_;   ///< The frame being sent.
+  std::string response_;  ///< The last response payload, decoded in place.
 };
 
 }  // namespace net

@@ -55,29 +55,21 @@ void ShardServer::AcceptLoop() {
 }
 
 void ShardServer::ServeConnection(Socket conn) {
-  std::string header(kFrameHeaderSize, '\0');
+  FrameHeader header;
+  std::string request;
+  std::string response;
   while (!stop_.load(std::memory_order_relaxed)) {
     // Short readable-polls between stop checks: a quiet connection must
     // not pin this handler past ~accept_poll_ms at shutdown.
     StatusOr<bool> readable = conn.PollReadable(options_.accept_poll_ms);
     if (!readable.ok()) return;
     if (!*readable) continue;
-    if (!conn.RecvAll(header.data(), header.size(), options_.io_timeout_ms)
-             .ok()) {
+    // A torn, desynchronized or corrupt frame closes the connection.
+    if (!RecvFrame(conn, options_.io_timeout_ms, &header, &request).ok()) {
       return;
     }
-    StatusOr<FrameHeader> fh = DecodeFrameHeader(header.data(), header.size());
-    if (!fh.ok()) return;  // desynchronized stream: close
-    std::string payload(fh->payload_len, '\0');
-    if (!conn.RecvAll(payload.data(), payload.size(), options_.io_timeout_ms)
-             .ok()) {
-      return;
-    }
-    if (!VerifyFramePayload(*fh, payload).ok()) return;
-
-    StatusOr<std::string> response = HandleFrame(fh->type, payload);
-    if (!response.ok()) return;
-    if (!conn.SendAll(response->data(), response->size(),
+    if (!HandleFrame(header.type, request, &response).ok()) return;
+    if (!conn.SendAll(response.data(), response.size(),
                       options_.io_timeout_ms)
              .ok()) {
       return;
@@ -85,26 +77,36 @@ void ShardServer::ServeConnection(Socket conn) {
   }
 }
 
-StatusOr<std::string> ShardServer::HandleFrame(MsgType type,
-                                              const std::string& payload) {
+Status ShardServer::HandleFrame(MsgType type, const std::string& payload,
+                                std::string* response) {
   switch (type) {
-    case MsgType::kMetaRequest:
-      return EncodeFrame(MsgType::kMetaResponse,
-                         EncodeMetaResponse(service_->meta()));
+    case MsgType::kMetaRequest: {
+      const StatusOr<IndexMeta> meta = service_->meta();
+      EncodeFrame(MsgType::kMetaResponse,
+                  [&](WireWriter* w) { EncodeMetaResponse(meta, w); },
+                  response);
+      return Status::OK();
+    }
     case MsgType::kQueryRequest: {
       StatusOr<ServiceRequest> request = DecodeQueryRequest(payload);
       if (!request.ok()) return request.status();  // parse error: close
       // Execute on the service's worker pool: admission control, lanes,
       // deadlines and failure domains all apply as in-process.
-      return EncodeFrame(MsgType::kQueryResponse,
-                         EncodeQueryResponse(service_->Execute(*request)));
+      const StatusOr<SeedSetResult> result = service_->Execute(*request);
+      EncodeFrame(MsgType::kQueryResponse,
+                  [&](WireWriter* w) { EncodeQueryResponse(result, w); },
+                  response);
+      return Status::OK();
     }
     case MsgType::kFetchRequest: {
       StatusOr<RrFetchRequest> request = DecodeFetchRequest(payload);
       if (!request.ok()) return request.status();
-      return EncodeFrame(
-          MsgType::kFetchResponse,
-          EncodeFetchResponse(service_->ExecuteFetch(std::move(*request))));
+      const StatusOr<RrFetchResult> result =
+          service_->ExecuteFetch(std::move(*request));
+      EncodeFrame(MsgType::kFetchResponse,
+                  [&](WireWriter* w) { EncodeFetchResponse(result, w); },
+                  response);
+      return Status::OK();
     }
     default:
       // Response types arriving on the server side mean the peer lost

@@ -12,6 +12,9 @@
 // thread that serves frames sequentially until the peer closes or a frame
 // fails to parse (parse failures close the connection — the stream cannot
 // be resynchronized, and the client treats it as a transport failure).
+// A handler keeps its request and response buffers for the life of the
+// connection, so serving multi-MB RR blocks stops allocating after the
+// largest one.
 // Request execution happens on the QueryService's own worker pool, so a
 // slow solve never blocks frame handling for OTHER connections, and the
 // service's lane scheduler / admission control govern multi-client
@@ -81,9 +84,11 @@ class ShardServer {
   void AcceptLoop();
   void ServeConnection(Socket conn);
 
-  /// Decodes + executes one request frame, returns the response frame.
-  /// Non-OK only for transport/parse errors that must close the socket.
-  StatusOr<std::string> HandleFrame(MsgType type, const std::string& payload);
+  /// Decodes + executes one request frame and builds the response frame
+  /// in `*response`. Non-OK only for parse errors that must close the
+  /// socket.
+  Status HandleFrame(MsgType type, const std::string& payload,
+                     std::string* response);
 
   const ShardServerOptions options_;
   ServerSocket listener_;

@@ -13,6 +13,21 @@ Status Truncated(const char* what) {
                             what);
 }
 
+/// Appends the payload `encode` writes after one exact-size reservation.
+void AppendPayload(const PayloadEncoder& encode, std::string* out) {
+  WireWriter sizer;
+  encode(&sizer);
+  out->reserve(out->size() + sizer.size());
+  WireWriter w(out);
+  encode(&w);
+}
+
+std::string EncodePayload(const PayloadEncoder& encode) {
+  std::string payload;
+  AppendPayload(encode, &payload);
+  return payload;
+}
+
 // Shared sub-codecs -----------------------------------------------------------
 
 void EncodeRrBlock(const RrKeywordBlock& block, WireWriter* w) {
@@ -64,6 +79,7 @@ Status DecodeRrBlock(WireReader* r, RrKeywordBlock* block) {
 
 Status WireReader::ReadRaw(void* out, size_t n) {
   if (size_ - pos_ < n) return Truncated("raw bytes");
+  if (n == 0) return Status::OK();  // an empty vector's data() may be null
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return Status::OK();
@@ -115,18 +131,24 @@ Status WireReader::VecDouble(std::vector<double>* v) {
 
 // ---- Framing ---------------------------------------------------------------
 
+void EncodeFrame(MsgType type, const PayloadEncoder& encode,
+                 std::string* frame) {
+  frame->assign(kFrameHeaderSize, '\0');  // placeholder, sealed below
+  AppendPayload(encode, frame);
+  const uint32_t payload_len =
+      static_cast<uint32_t>(frame->size() - kFrameHeaderSize);
+  const uint32_t masked_crc = crc32c::Mask(
+      crc32c::Value(frame->data() + kFrameHeaderSize, payload_len));
+  char* header = frame->data();
+  std::memcpy(header, &kFrameMagic, 4);
+  header[4] = static_cast<char>(type);
+  std::memcpy(header + 8, &payload_len, 4);
+  std::memcpy(header + 12, &masked_crc, 4);
+}
+
 std::string EncodeFrame(MsgType type, const std::string& payload) {
   std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  WireWriter w(&frame);
-  w.U32(kFrameMagic);
-  w.U8(static_cast<uint8_t>(type));
-  w.U8(0);
-  w.U8(0);
-  w.U8(0);
-  w.U32(static_cast<uint32_t>(payload.size()));
-  w.U32(crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  frame.append(payload);
+  EncodeFrame(type, [&](WireWriter* w) { w->Bytes(payload); }, &frame);
   return frame;
 }
 
@@ -170,6 +192,17 @@ Status VerifyFramePayload(const FrameHeader& header,
   return Status::OK();
 }
 
+Status RecvFrame(Socket& conn, double timeout_ms, FrameHeader* header,
+                 std::string* payload) {
+  char raw[kFrameHeaderSize];
+  KBTIM_RETURN_IF_ERROR(conn.RecvAll(raw, sizeof(raw), timeout_ms));
+  KBTIM_ASSIGN_OR_RETURN(*header, DecodeFrameHeader(raw, sizeof(raw)));
+  payload->resize(header->payload_len);
+  KBTIM_RETURN_IF_ERROR(
+      conn.RecvAll(payload->data(), payload->size(), timeout_ms));
+  return VerifyFramePayload(*header, *payload);
+}
+
 // ---- Status ----------------------------------------------------------------
 
 void EncodeStatus(const Status& status, WireWriter* w) {
@@ -193,33 +226,34 @@ Status DecodeStatus(WireReader* r, Status* out) {
 
 // ---- IndexMeta -------------------------------------------------------------
 
-std::string EncodeMetaResponse(const StatusOr<IndexMeta>& meta) {
-  std::string payload;
-  WireWriter w(&payload);
-  EncodeStatus(meta.status(), &w);
-  if (!meta.ok()) return payload;
+void EncodeMetaResponse(const StatusOr<IndexMeta>& meta, WireWriter* w) {
+  EncodeStatus(meta.status(), w);
+  if (!meta.ok()) return;
   const IndexMeta& m = *meta;
-  w.U32(m.format_version);
-  w.U8(static_cast<uint8_t>(m.model));
-  w.U8(static_cast<uint8_t>(m.codec));
-  w.U8(static_cast<uint8_t>(m.bound));
-  w.Double(m.epsilon);
-  w.U32(m.max_k);
-  w.U32(m.partition_size);
-  w.U32(m.num_vertices);
-  w.U32(m.num_topics);
-  w.U8(m.has_rr ? 1 : 0);
-  w.U8(m.has_irr ? 1 : 0);
-  w.U64(m.topics.size());
+  w->U32(m.format_version);
+  w->U8(static_cast<uint8_t>(m.model));
+  w->U8(static_cast<uint8_t>(m.codec));
+  w->U8(static_cast<uint8_t>(m.bound));
+  w->Double(m.epsilon);
+  w->U32(m.max_k);
+  w->U32(m.partition_size);
+  w->U32(m.num_vertices);
+  w->U32(m.num_topics);
+  w->U8(m.has_rr ? 1 : 0);
+  w->U8(m.has_irr ? 1 : 0);
+  w->U64(m.topics.size());
   for (const IndexMeta::TopicMeta& t : m.topics) {
-    w.U64(t.theta);
-    w.Double(t.tf_sum);
-    w.Double(t.phi);
-    w.Double(t.opt_bound);
-    w.U64(t.irr_preamble);
-    w.U64(t.rr_preamble);
+    w->U64(t.theta);
+    w->Double(t.tf_sum);
+    w->Double(t.phi);
+    w->Double(t.opt_bound);
+    w->U64(t.irr_preamble);
+    w->U64(t.rr_preamble);
   }
-  return payload;
+}
+
+std::string EncodeMetaResponse(const StatusOr<IndexMeta>& meta) {
+  return EncodePayload([&](WireWriter* w) { EncodeMetaResponse(meta, w); });
 }
 
 StatusOr<IndexMeta> DecodeMetaResponse(const std::string& payload) {
@@ -264,18 +298,19 @@ StatusOr<IndexMeta> DecodeMetaResponse(const std::string& payload) {
 
 // ---- Query solve -----------------------------------------------------------
 
+void EncodeQueryRequest(const ServiceRequest& request, WireWriter* w) {
+  w->VecU32(request.query.topics);
+  w->U32(request.query.k);
+  w->U8(static_cast<uint8_t>(request.engine));
+  w->U8(static_cast<uint8_t>(request.irr_mode));
+  w->U8(static_cast<uint8_t>(request.priority));
+  w->Double(request.queue_deadline_ms);
+  w->U64(request.max_theta);
+  w->Double(request.request_deadline_ms);
+}
+
 std::string EncodeQueryRequest(const ServiceRequest& request) {
-  std::string payload;
-  WireWriter w(&payload);
-  w.VecU32(request.query.topics);
-  w.U32(request.query.k);
-  w.U8(static_cast<uint8_t>(request.engine));
-  w.U8(static_cast<uint8_t>(request.irr_mode));
-  w.U8(static_cast<uint8_t>(request.priority));
-  w.Double(request.queue_deadline_ms);
-  w.U64(request.max_theta);
-  w.Double(request.request_deadline_ms);
-  return payload;
+  return EncodePayload([&](WireWriter* w) { EncodeQueryRequest(request, w); });
 }
 
 StatusOr<ServiceRequest> DecodeQueryRequest(const std::string& payload) {
@@ -300,23 +335,24 @@ StatusOr<ServiceRequest> DecodeQueryRequest(const std::string& payload) {
   return request;
 }
 
-std::string EncodeQueryResponse(const StatusOr<SeedSetResult>& result) {
-  std::string payload;
-  WireWriter w(&payload);
-  EncodeStatus(result.status(), &w);
-  if (!result.ok()) return payload;
+void EncodeQueryResponse(const StatusOr<SeedSetResult>& result, WireWriter* w) {
+  EncodeStatus(result.status(), w);
+  if (!result.ok()) return;
   const SeedSetResult& res = *result;
-  w.VecU32(res.seeds);
-  w.VecDouble(res.marginal_gains);
-  w.Double(res.estimated_influence);
-  w.U8(res.degraded ? 1 : 0);
-  w.VecU32(res.dropped_keywords);
-  w.U64(res.stats.theta);
-  w.U64(res.stats.rr_sets_loaded);
-  w.U64(res.stats.io_reads);
-  w.U64(res.stats.io_bytes);
-  w.U32(res.stats.batch_size);
-  return payload;
+  w->VecU32(res.seeds);
+  w->VecDouble(res.marginal_gains);
+  w->Double(res.estimated_influence);
+  w->U8(res.degraded ? 1 : 0);
+  w->VecU32(res.dropped_keywords);
+  w->U64(res.stats.theta);
+  w->U64(res.stats.rr_sets_loaded);
+  w->U64(res.stats.io_reads);
+  w->U64(res.stats.io_bytes);
+  w->U32(res.stats.batch_size);
+}
+
+std::string EncodeQueryResponse(const StatusOr<SeedSetResult>& result) {
+  return EncodePayload([&](WireWriter* w) { EncodeQueryResponse(result, w); });
 }
 
 StatusOr<SeedSetResult> DecodeQueryResponse(const std::string& payload) {
@@ -342,15 +378,16 @@ StatusOr<SeedSetResult> DecodeQueryResponse(const std::string& payload) {
 
 // ---- RR block fetch --------------------------------------------------------
 
+void EncodeFetchRequest(const RrFetchRequest& request, WireWriter* w) {
+  w->VecU32(request.topics);
+  w->VecU64(request.budgets);
+  w->U8(static_cast<uint8_t>(request.priority));
+  w->Double(request.queue_deadline_ms);
+  w->Double(request.request_deadline_ms);
+}
+
 std::string EncodeFetchRequest(const RrFetchRequest& request) {
-  std::string payload;
-  WireWriter w(&payload);
-  w.VecU32(request.topics);
-  w.VecU64(request.budgets);
-  w.U8(static_cast<uint8_t>(request.priority));
-  w.Double(request.queue_deadline_ms);
-  w.Double(request.request_deadline_ms);
-  return payload;
+  return EncodePayload([&](WireWriter* w) { EncodeFetchRequest(request, w); });
 }
 
 StatusOr<RrFetchRequest> DecodeFetchRequest(const std::string& payload) {
@@ -369,19 +406,20 @@ StatusOr<RrFetchRequest> DecodeFetchRequest(const std::string& payload) {
   return request;
 }
 
-std::string EncodeFetchResponse(const StatusOr<RrFetchResult>& result) {
-  std::string payload;
-  WireWriter w(&payload);
-  EncodeStatus(result.status(), &w);
-  if (!result.ok()) return payload;
+void EncodeFetchResponse(const StatusOr<RrFetchResult>& result, WireWriter* w) {
+  EncodeStatus(result.status(), w);
+  if (!result.ok()) return;
   const RrFetchResult& res = *result;
-  w.U64(res.blocks.size());
+  w->U64(res.blocks.size());
   for (const std::shared_ptr<const RrKeywordBlock>& block : res.blocks) {
-    w.U8(block != nullptr ? 1 : 0);
-    if (block != nullptr) EncodeRrBlock(*block, &w);
+    w->U8(block != nullptr ? 1 : 0);
+    if (block != nullptr) EncodeRrBlock(*block, w);
   }
-  w.VecU32(res.dropped);
-  return payload;
+  w->VecU32(res.dropped);
+}
+
+std::string EncodeFetchResponse(const StatusOr<RrFetchResult>& result) {
+  return EncodePayload([&](WireWriter* w) { EncodeFetchResponse(result, w); });
 }
 
 StatusOr<RrFetchResult> DecodeFetchResponse(const std::string& payload) {

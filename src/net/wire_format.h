@@ -10,13 +10,15 @@
 //   12      4     masked CRC32C of payload bytes (storage/crc32c.h)
 //   16      n     payload
 //
-// The CRC reuses the index format's masked-CRC32C convention, so a frame
-// that crosses a flaky link gets the same integrity treatment as a block
-// that crosses a flaky disk. A frame whose magic, length bound or CRC does
-// not check out is a TRANSPORT failure: the peer cannot resynchronize a
-// byte stream mid-frame, so readers surface kCorruption and the connection
-// is closed (clients then treat it exactly like a dropped socket —
-// reconnect, retry, or hedge; never a silently-wrong answer).
+// The CRC covers the payload only; the type and length are checked by
+// range, by the type the reader expects and by the length bound. It reuses
+// the index format's masked-CRC32C convention, so a frame that crosses a
+// flaky link gets the same integrity treatment as a block that crosses a
+// flaky disk. A frame whose magic, length bound or CRC does not check out
+// is a TRANSPORT failure: the peer cannot resynchronize a byte stream
+// mid-frame, so readers surface kCorruption and the connection is closed
+// (clients then treat it exactly like a dropped socket — reconnect, retry,
+// or hedge; never a silently-wrong answer).
 //
 // Payload encoding is flat little-endian via WireWriter/WireReader:
 // u8/u32/u64 as fixed-width, doubles as their 8-byte IEEE-754 bit pattern
@@ -24,17 +26,26 @@
 // strings and vectors as a u32/u64 count plus elements. Every reader
 // bounds-checks and returns kCorruption on truncation; a decoder never
 // reads past the frame.
+//
+// Every frame is built in place by EncodeFrame: a header placeholder, the
+// payload appended after one exact-size reservation (a counting pass of the
+// same encoder sizes it), then the length and CRC sealed into the header.
+// Every frame is read by RecvFrame. Both work in caller-owned buffers, so a
+// connection that keeps its buffers across frames stops allocating once
+// they have grown to its largest message.
 #ifndef KBTIM_NET_WIRE_FORMAT_H_
 #define KBTIM_NET_WIRE_FORMAT_H_
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/statusor.h"
 #include "index/index_format.h"
 #include "index/keyword_cache.h"
+#include "net/socket.h"
 #include "sampling/solver_result.h"
 #include "serving/service_request.h"
 #include "topics/query.h"
@@ -66,12 +77,14 @@ enum class MsgType : uint8_t {
 
 // ---- Flat little-endian primitives -----------------------------------------
 
-/// Appends primitives to a growing byte string.
+/// Appends primitives to a growing byte string, or, default-constructed,
+/// only counts the bytes it would append (the sizing pass).
 class WireWriter {
  public:
+  WireWriter() = default;
   explicit WireWriter(std::string* out) : out_(out) {}
 
-  void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
+  void U8(uint8_t v) { AppendRaw(&v, sizeof(v)); }
   void U32(uint32_t v) { AppendRaw(&v, sizeof(v)); }
   void U64(uint64_t v) { AppendRaw(&v, sizeof(v)); }
   void Double(double v) {
@@ -81,7 +94,7 @@ class WireWriter {
   }
   void Str(const std::string& s) {
     U32(static_cast<uint32_t>(s.size()));
-    out_->append(s);
+    AppendRaw(s.data(), s.size());
   }
   template <typename T>
   void VecU32(const std::vector<T>& v) {
@@ -97,12 +110,19 @@ class WireWriter {
     U64(v.size());
     for (double d : v) Double(d);
   }
+  /// Raw bytes, no count.
+  void Bytes(const std::string& s) { AppendRaw(s.data(), s.size()); }
+
+  /// Bytes appended (or counted) so far.
+  size_t size() const { return size_; }
 
  private:
   void AppendRaw(const void* data, size_t n) {
-    out_->append(static_cast<const char*>(data), n);
+    size_ += n;
+    if (out_ != nullptr) out_->append(static_cast<const char*>(data), n);
   }
-  std::string* out_;
+  std::string* out_ = nullptr;
+  size_t size_ = 0;
 };
 
 /// Reads primitives from a fixed byte span; every read bounds-checks.
@@ -142,7 +162,19 @@ class WireReader {
 
 // ---- Framing ---------------------------------------------------------------
 
-/// Builds one complete frame (header + payload) ready to send.
+/// Appends one message's payload through the writer it is given. Encoders
+/// run it twice, first on a counting writer, so it must write the same
+/// bytes both times.
+using PayloadEncoder = std::function<void(WireWriter*)>;
+
+/// Builds one frame of `type` in `*frame`, replacing its contents but
+/// keeping its capacity: header placeholder, payload appended after one
+/// exact-size reservation, then length and masked payload CRC sealed into
+/// the header. Every message type is framed here.
+void EncodeFrame(MsgType type, const PayloadEncoder& encode,
+                 std::string* frame);
+
+/// One frame carrying `payload` verbatim.
 std::string EncodeFrame(MsgType type, const std::string& payload);
 
 /// Parsed frame header.
@@ -160,29 +192,44 @@ StatusOr<FrameHeader> DecodeFrameHeader(const char* data, size_t size);
 /// mismatch — callers must close the connection.
 Status VerifyFramePayload(const FrameHeader& header, const std::string& payload);
 
+/// Reads one frame from `conn`: its header into `*header` and its payload
+/// into `*payload` (resized to fit; capacity kept), CRC verified. Any
+/// failure leaves the stream unusable — callers must close the connection.
+Status RecvFrame(Socket& conn, double timeout_ms, FrameHeader* header,
+                 std::string* payload);
+
 // ---- Message payload codecs ------------------------------------------------
 
 /// Status: code u8 + message. OK round-trips as code 0, empty message.
 void EncodeStatus(const Status& status, WireWriter* w);
 Status DecodeStatus(WireReader* r, Status* out);
 
+// Each message has a writer form, which frames use, and a form returning
+// the payload alone, which is the same encoder behind one exact-size
+// reservation.
+
 /// IndexMeta with the full per-topic table (the router computes query
 /// budgets locally from it, so every field ComputeQueryBudget touches must
 /// survive the round trip bit-exactly).
+void EncodeMetaResponse(const StatusOr<IndexMeta>& meta, WireWriter* w);
 std::string EncodeMetaResponse(const StatusOr<IndexMeta>& meta);
 StatusOr<IndexMeta> DecodeMetaResponse(const std::string& payload);
 
 /// Full solve request/response (ServiceRequest <-> SeedSetResult). The
 /// response carries the result's answer fields plus the wire-relevant
 /// stats (theta, rr_sets_loaded, io_reads, io_bytes, batch_size).
+void EncodeQueryRequest(const ServiceRequest& request, WireWriter* w);
 std::string EncodeQueryRequest(const ServiceRequest& request);
 StatusOr<ServiceRequest> DecodeQueryRequest(const std::string& payload);
+void EncodeQueryResponse(const StatusOr<SeedSetResult>& result, WireWriter* w);
 std::string EncodeQueryResponse(const StatusOr<SeedSetResult>& result);
 StatusOr<SeedSetResult> DecodeQueryResponse(const std::string& payload);
 
 /// RR block scatter-gather unit (RrFetchRequest <-> RrFetchResult).
+void EncodeFetchRequest(const RrFetchRequest& request, WireWriter* w);
 std::string EncodeFetchRequest(const RrFetchRequest& request);
 StatusOr<RrFetchRequest> DecodeFetchRequest(const std::string& payload);
+void EncodeFetchResponse(const StatusOr<RrFetchResult>& result, WireWriter* w);
 std::string EncodeFetchResponse(const StatusOr<RrFetchResult>& result);
 StatusOr<RrFetchResult> DecodeFetchResponse(const std::string& payload);
 

@@ -55,6 +55,10 @@ struct SolverStats {
   uint64_t prefetches_issued = 0;
   uint64_t prefetches_served = 0;
 
+  /// Order in which a QueryService worker picked the request up: 1 for
+  /// the service's first pickup, then increasing. 0 outside a service.
+  uint64_t pickup_seq = 0;
+
   double sampling_seconds = 0.0;
   double greedy_seconds = 0.0;
   double total_seconds = 0.0;

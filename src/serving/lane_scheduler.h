@@ -101,6 +101,8 @@ struct PendingRequest {
   /// evaluated submitted_at -> picked_at: time the SERVICE holds a
   /// picked request (e.g. an open batch window) never expires it.
   std::chrono::steady_clock::time_point picked_at;
+  /// The service's pickup counter at picked_at (SolverStats::pickup_seq).
+  uint64_t pickup_seq = 0;
   double deadline_ms = 0.0;  // resolved against the service default
 
   /// Solve or RR-block fetch. Fetches carry their payload in `fetch` and

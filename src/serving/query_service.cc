@@ -317,6 +317,7 @@ void QueryService::CollectRrBatchLocked(const PendingRequest& head,
     const auto now = std::chrono::steady_clock::now();
     for (PendingRequest& mate : more) {
       mate.picked_at = now;
+      mate.pickup_seq = ++pickups_;
       mates.push_back(std::move(mate));
     }
   };
@@ -378,6 +379,7 @@ void QueryService::WorkerLoop(uint32_t slot_id) {
       if (!popped.has_value()) continue;
       pending = std::move(*popped);
       pending.picked_at = std::chrono::steady_clock::now();
+      pending.pickup_seq = ++pickups_;
       is_wris = pending.kind == RequestKind::kSolve &&
                 pending.request.engine == QueryEngine::kWris;
       ++in_flight_;
@@ -467,6 +469,7 @@ bool QueryService::ProcessSingle(WorkerSlot& slot, PendingRequest pending) {
     // run (and fail), so the service-time sample still counts.
     return true;
   }
+  if (result.ok()) result->stats.pickup_seq = pending.pickup_seq;
   const double latency_ms =
       MillisSince(pending.submitted_at, std::chrono::steady_clock::now());
   RecordOutcome(pending.request, result, latency_ms, queue_ms);
@@ -603,6 +606,7 @@ bool QueryService::ProcessRrBatch(PendingRequest head,
     }
   }
   for (size_t i = 0; i < live.size(); ++i) {
+    (*results)[i].stats.pickup_seq = live[i].pickup_seq;
     if (!dropped_for[i].empty()) {
       (*results)[i].degraded = true;
       (*results)[i].dropped_keywords = std::move(dropped_for[i]);

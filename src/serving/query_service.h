@@ -506,6 +506,8 @@ class QueryService {
   LaneScheduler scheduler_ GUARDED_BY(mu_);
   size_t in_flight_ GUARDED_BY(mu_) = 0;
   size_t wris_in_flight_ GUARDED_BY(mu_) = 0;
+  /// Requests picked up so far (PendingRequest::pickup_seq).
+  uint64_t pickups_ GUARDED_BY(mu_) = 0;
   /// Drains currently waiting (drain-through-pause).
   int draining_ GUARDED_BY(mu_) = 0;
   /// Workers inside a batch window wait.

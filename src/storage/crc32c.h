@@ -1,12 +1,18 @@
-// CRC32C (Castagnoli) checksums for the on-disk index formats.
+// CRC32C (Castagnoli) checksums for the on-disk index formats and the
+// network frames.
 //
-// Software slice-by-8 kernel: eight 256-entry lookup tables let the inner
-// loop consume 8 bytes per iteration, which keeps verification well under
-// the decode cost of a block (the cold-path budget in BENCH_pipeline.json
-// allows <= 5% p50 regression from verify-on-read). Checksums are stored
-// *masked* (RocksDB idiom): rotating and offsetting the raw CRC prevents
-// the degenerate case where a file region that itself contains CRCs is
-// re-CRC'd to a fixed point.
+// Two kernels compute the same function. On x86-64 CPUs with SSE4.2 the
+// `crc32` instruction folds 8 bytes per instruction, and long buffers run
+// three independent streams that are combined at the end, so checksumming
+// costs a small fraction of the memcpy that produced the bytes. Elsewhere a
+// portable slice-by-8 kernel (eight 256-entry tables, 8 bytes per
+// iteration) is used. The kernel is chosen once, from the CPU, on the first
+// call; both give identical values, so every stored checksum stays valid
+// whichever machine wrote or reads it.
+//
+// Checksums are stored *masked* (RocksDB idiom): rotating and offsetting
+// the raw CRC prevents the degenerate case where a file region that itself
+// contains CRCs is re-CRC'd to a fixed point.
 #ifndef KBTIM_STORAGE_CRC32C_H_
 #define KBTIM_STORAGE_CRC32C_H_
 
@@ -36,6 +42,18 @@ inline uint32_t Unmask(uint32_t masked) {
   const uint32_t rot = masked - 0xA282EAD8u;
   return (rot >> 17) | (rot << 15);
 }
+
+namespace internal {
+
+/// The portable slice-by-8 kernel, with Extend's contract. It is the
+/// fallback on CPUs without a CRC32C instruction and the reference the
+/// tests hold the hardware kernel to.
+uint32_t ExtendPortable(uint32_t crc, const void* data, size_t n);
+
+/// True when Extend runs on the SSE4.2 instruction on this CPU.
+bool HardwareSelected();
+
+}  // namespace internal
 
 }  // namespace crc32c
 }  // namespace kbtim

@@ -188,6 +188,69 @@ TEST(WireFetch, RejectsInconsistentOffsets) {
   EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
 }
 
+TEST(WireEmptyVectors, RoundTripWithoutDroppedKeywords) {
+  // The common case on a healthy fleet: nothing dropped. Decoding an empty
+  // vector must not hand memcpy the vector's null data().
+  auto block = std::make_shared<RrKeywordBlock>();
+  block->loaded_budget = 1;
+  block->set_offsets = {0, 1};
+  block->set_items = {3};
+  block->list_vertex = {3};
+  block->list_offsets = {0, 1};
+  block->list_ids = {0};
+  RrFetchResult fetch;
+  fetch.blocks = {block};
+  auto fetched = DecodeFetchResponse(EncodeFetchResponse(fetch));
+  ASSERT_TRUE(fetched.ok()) << fetched.status();
+  ASSERT_EQ(fetched->blocks.size(), 1u);
+  EXPECT_EQ(fetched->blocks[0]->set_items, block->set_items);
+  EXPECT_TRUE(fetched->dropped.empty());
+
+  SeedSetResult result;
+  result.seeds = {5, 9};
+  result.marginal_gains = {2.0, 1.0};
+  result.estimated_influence = 3.0;
+  auto answered = DecodeQueryResponse(EncodeQueryResponse(result));
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->seeds, result.seeds);
+  EXPECT_FALSE(answered->degraded);
+  EXPECT_TRUE(answered->dropped_keywords.empty());
+}
+
+TEST(WireFrame, BuiltInPlaceMatchesPinnedBytes) {
+  // A fetch-request frame as the wire carries it: header (magic, type 5,
+  // length 57, masked CRC32C of the payload) then the payload. Built in
+  // place in a reused buffer holding older bytes, or from the payload
+  // alone, the frame must come out byte for byte the same.
+  static const char kPinned[] =
+      "\x4b\x42\x4e\x31\x05\x00\x00\x00\x39\x00\x00\x00\xd3\x7f\x7f\x49"
+      "\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x04\x00\x00\x00"
+      "\x02\x00\x00\x00\x00\x00\x00\x00\x64\x00\x00\x00\x00\x00\x00\x00"
+      "\xfa\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\xc0\x52\x40";
+  const std::string pinned(kPinned, sizeof(kPinned) - 1);
+  RrFetchRequest request;
+  request.topics = {2, 4};
+  request.budgets = {100, 250};
+  request.request_deadline_ms = 75.0;
+
+  std::string frame(4096, 'x');
+  EncodeFrame(MsgType::kFetchRequest,
+              [&](WireWriter* w) { EncodeFetchRequest(request, w); }, &frame);
+  EXPECT_EQ(frame, pinned);
+  EXPECT_EQ(EncodeFrame(MsgType::kFetchRequest, EncodeFetchRequest(request)),
+            pinned);
+
+  auto header = DecodeFrameHeader(pinned.data(), pinned.size());
+  ASSERT_TRUE(header.ok()) << header.status();
+  EXPECT_EQ(header->type, MsgType::kFetchRequest);
+  const std::string payload = pinned.substr(kFrameHeaderSize);
+  EXPECT_TRUE(VerifyFramePayload(*header, payload).ok());
+  auto decoded = DecodeFetchRequest(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->budgets, request.budgets);
+}
+
 TEST(WireReader, TruncationIsCorruptionNeverOverread) {
   const std::string payload = EncodeQueryRequest(
       ServiceRequest{Query{{1, 2, 3}, 5}, QueryEngine::kRr});

@@ -312,27 +312,19 @@ TEST_F(QueryServiceTest, HighPriorityOvertakesQueuedLowWithinLane) {
   high.priority = RequestPriority::kHigh;
   auto high_future = service->Submit(std::move(high));  // submitted LAST
 
-  // Rank completions: one waiter per future bumps a shared counter when
-  // its result resolves.
-  std::atomic<int> next_rank{0};
-  std::atomic<int> high_rank{-1};
-  std::vector<std::thread> waiters;
-  for (auto& future : low_futures) {
-    waiters.emplace_back([f = &future, &next_rank] {
-      (void)f->get();
-      (void)next_rank.fetch_add(1);
-    });
-  }
-  waiters.emplace_back([&] {
-    (void)high_future.get();
-    high_rank.store(next_rank.fetch_add(1));
-  });
   service->Resume();
-  for (auto& waiter : waiters) waiter.join();
-  // FIFO would finish the high-priority request LAST (rank kLow); the
-  // priority lane must run it first (rank ~0, slack for waiter wake-up).
-  EXPECT_GE(high_rank.load(), 0);
-  EXPECT_LT(high_rank.load(), 3);
+  // Pickup order is recorded by the service itself: FIFO would pick the
+  // high-priority request LAST; the priority lane must pick it before
+  // every queued low one.
+  StatusOr<SeedSetResult> high_result = high_future.get();
+  ASSERT_TRUE(high_result.ok()) << high_result.status();
+  const uint64_t high_seq = high_result->stats.pickup_seq;
+  EXPECT_GT(high_seq, 0u);
+  for (auto& future : low_futures) {
+    StatusOr<SeedSetResult> low = future.get();
+    ASSERT_TRUE(low.ok()) << low.status();
+    EXPECT_LT(high_seq, low->stats.pickup_seq);
+  }
 }
 
 TEST_F(QueryServiceTest, BatchWindowHoldDoesNotExpireQueueDeadline) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <string>
@@ -61,7 +62,7 @@ TEST(Crc32cTest, IncrementalEqualsOneShot) {
 }
 
 TEST(Crc32cTest, UnalignedBuffers) {
-  // The slice-by-8 kernel has an alignment prologue; every start offset
+  // Both kernels have an alignment prologue; every start offset
   // within a word must yield the same checksum for the same bytes.
   std::mt19937 rng(7);
   std::vector<char> backing(256 + 16, '\0');
@@ -96,6 +97,78 @@ TEST(Crc32cTest, SingleBitFlipAlwaysDetected) {
       EXPECT_NE(crc32c::Value(flipped.data(), flipped.size()), good)
           << "byte " << byte << " bit " << bit;
     }
+  }
+}
+
+// Extend dispatches to the SSE4.2 kernel where the CPU has it; the
+// portable slice-by-8 kernel is the reference it must match bit for bit.
+class Crc32cKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!crc32c::internal::HardwareSelected()) {
+      GTEST_SKIP() << "no CRC32C instruction: Extend is the portable kernel";
+    }
+  }
+
+  static std::string RandomBytes(size_t n, uint32_t seed) {
+    std::mt19937 rng(seed);
+    std::string data(n, '\0');
+    for (char& c : data) c = static_cast<char>(rng());
+    return data;
+  }
+};
+
+TEST_F(Crc32cKernelTest, MatchesPortableOnEveryShortLengthAndOffset) {
+  // Every length up to 300, plus the edges of the hardware kernel's
+  // three-stream rounds (3 x 256 and 3 x 4096 bytes).
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  for (size_t edge : {size_t{768}, size_t{12288}, size_t{12288 + 768}}) {
+    for (size_t len = edge - 9; len <= edge + 9; ++len) lengths.push_back(len);
+  }
+  const std::string data = RandomBytes(lengths.back() + 8, 17);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len : lengths) {
+      const char* p = data.data() + offset;
+      for (uint32_t crc : {0u, 0xE3069283u}) {
+        ASSERT_EQ(crc32c::Extend(crc, p, len),
+                  crc32c::internal::ExtendPortable(crc, p, len))
+            << "offset " << offset << " length " << len << " crc " << crc;
+      }
+    }
+  }
+}
+
+TEST_F(Crc32cKernelTest, MatchesPortableOnMultiMegabyteBuffers) {
+  const std::string data = RandomBytes((size_t{8} << 20) + 4093, 29);
+  for (size_t len : {size_t{1} << 20, (size_t{3} << 20) + 5, data.size() - 3}) {
+    for (size_t offset : {size_t{0}, size_t{3}}) {
+      EXPECT_EQ(crc32c::Value(data.data() + offset, len),
+                crc32c::internal::ExtendPortable(0, data.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_F(Crc32cKernelTest, ExtendChainsSwitchKernelsMidStream) {
+  const std::string data = RandomBytes(200000, 31);
+  const uint32_t whole = crc32c::internal::ExtendPortable(0, data.data(),
+                                                          data.size());
+  // Chunk lengths straddle both kernels' stride and stream boundaries.
+  std::mt19937 rng(37);
+  for (int trial = 0; trial < 20; ++trial) {
+    uint32_t crc = 0;
+    size_t pos = 0;
+    bool hardware = (trial % 2) == 0;
+    while (pos < data.size()) {
+      const size_t len = std::min<size_t>(data.size() - pos, rng() % 20000);
+      crc = hardware
+                ? crc32c::Extend(crc, data.data() + pos, len)
+                : crc32c::internal::ExtendPortable(crc, data.data() + pos, len);
+      hardware = !hardware;
+      pos += len;
+    }
+    EXPECT_EQ(crc, whole) << "trial " << trial;
   }
 }
 
