@@ -107,10 +107,9 @@ inline StatusOr<std::string> EnsureIndex(const Environment& env,
   std::filesystem::create_directories(dir);
   bool cached = !no_cache && std::filesystem::exists(MetaFileName(dir));
   if (cached) {
-    // A cache dir left by an older binary may predate the current format
-    // (e.g. v1, no checksums); rebuild instead of benching stale bytes.
-    auto meta = ReadIndexMeta(MetaFileName(dir));
-    cached = meta.ok() && meta->format_version == kIndexFormatLatest;
+    // A cache dir left by an older binary may hold a meta of another
+    // format version, which ReadIndexMeta refuses; rebuild it.
+    cached = ReadIndexMeta(MetaFileName(dir)).ok();
   }
   if (cached) {
     *report = IndexBuildReport{};

@@ -1,11 +1,8 @@
-// Query-pipeline benchmark (PR 2): measures the three hot-path stages
-// against their PR-1 baselines on the laptop-scale news dataset and
-// writes BENCH_pipeline.json.
+// Query-pipeline benchmark: measures the hot-path stages of the query
+// engine on the laptop-scale news dataset and writes BENCH_pipeline.json.
 //
-//   1. Cold IRR queries, 2x2 ablation: {prefetch off/on} x {scalar/batch
-//      decode}. "off + scalar" is exactly the PR-1 configuration; the
-//      headline ratio is PR-1 vs the full pipeline (on + batch).
-//   2. Warm repeat queries through the same pipelined handle: must still
+//   1. Cold IRR queries with the partition prefetch window off and on.
+//   2. Warm repeat queries through a prefetching handle: must still
 //      perform 0 read ops (--assert-warm-zero-io turns a violation into a
 //      nonzero exit for CI).
 //   3. Seed selection over one WRIS-style RR sample: PR-1's
@@ -25,7 +22,6 @@
 #include "index/irr_index.h"
 #include "propagation/rr_sampler.h"
 #include "sampling/vertex_sampler.h"
-#include "storage/decode_kernels.h"
 #include "storage/io_counter.h"
 
 namespace kbtim {
@@ -93,14 +89,11 @@ struct ColdStats {
 
 StatusOr<ColdStats> MeasureColdIrr(const std::string& dir,
                                    const std::vector<Query>& queries,
-                                   uint32_t prefetch_threads,
-                                   bool batch_decode, bool eager_ir) {
+                                   uint32_t prefetch_threads) {
   constexpr int kReps = 3;  // repetitions stabilize the config ratios
-  SetBatchDecodeEnabled(batch_decode);
   ColdStats out;
   KeywordCacheOptions options;
   options.prefetch_threads = prefetch_threads;
-  options.eager_ir_members = eager_ir;
   for (int rep = 0; rep < kReps; ++rep) {
     for (const Query& q : queries) {
       // Fresh handle = fresh KeywordCache per query (PR-1 cold
@@ -119,7 +112,6 @@ StatusOr<ColdStats> MeasureColdIrr(const std::string& dir,
           static_cast<double>(r.stats.prefetches_served);
     }
   }
-  SetBatchDecodeEnabled(true);
   const double n = static_cast<double>(queries.size() * kReps);
   out.ms_mean /= n;
   out.io_reads_mean /= n;
@@ -141,7 +133,7 @@ int main(int argc, char** argv) {
       assert_warm_zero_io = true;
     }
   }
-  PrintHeader("Query pipeline: prefetch + batch decode + flat CELF", flags);
+  PrintHeader("Query pipeline: prefetch + flat CELF", flags);
 
   const DatasetSpec spec = ScaleSpec(DefaultNewsSpec(flags.topics),
                                      flags.scale);
@@ -171,44 +163,29 @@ int main(int argc, char** argv) {
   auto queries = env->Queries(qopts);
   if (!queries.ok() || queries->empty()) return 1;
 
-  // ---- Stage 1+2: cold IRR ablation matrix ------------------------------
-  // Three axes off the PR-1 baseline (eager IR decode + scalar kernels +
-  // no prefetch): batch decode kernels, lazy IR member decode, and the
-  // background prefetch window. With a single hardware thread background
-  // decode cannot overlap with anything, so the headline pipeline config
-  // drops prefetch there (the prefetch row still records its cost).
+  // ---- Stage 1: cold IRR, prefetch window off and on --------------------
+  // With a single hardware thread background decode cannot overlap with
+  // anything; the prefetch row then records its cost.
   const uint32_t hw_threads = std::thread::hardware_concurrency();
-  const uint32_t pipeline_prefetch = hw_threads > 1 ? 2 : 0;
   struct Config {
     const char* name;
     uint32_t prefetch;
-    bool batch;
-    bool eager_ir;
   };
-  const Config configs[] = {
-      {"baseline_pr1", 0, false, true},
-      {"batch_kernels", 0, true, true},
-      {"lazy_ir", 0, true, false},
-      {"prefetch", 2, true, false},
-      {"pipeline", pipeline_prefetch, true, false},
-  };
-  constexpr int kNumConfigs = 5;
+  const Config configs[] = {{"no_prefetch", 0}, {"prefetch", 2}};
+  constexpr int kNumConfigs = 2;
   ColdStats cold[kNumConfigs];
   for (int c = 0; c < kNumConfigs; ++c) {
-    auto stats = MeasureColdIrr(*dir, *queries, configs[c].prefetch,
-                                configs[c].batch, configs[c].eager_ir);
+    auto stats = MeasureColdIrr(*dir, *queries, configs[c].prefetch);
     if (!stats.ok()) {
       std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
       return 1;
     }
     cold[c] = *stats;
   }
-  const double cold_speedup =
-      cold[kNumConfigs - 1].ms_mean > 0
-          ? cold[0].ms_mean / cold[kNumConfigs - 1].ms_mean
-          : 0.0;
+  const double prefetch_speedup =
+      cold[1].ms_mean > 0 ? cold[0].ms_mean / cold[1].ms_mean : 0.0;
 
-  // ---- Warm repeat queries through the pipelined handle -----------------
+  // ---- Stage 2: warm repeat queries through a prefetching handle --------
   double warm_ms = 0.0;
   uint64_t warm_reads = 0;
   {
@@ -285,7 +262,7 @@ int main(int argc, char** argv) {
                   FormatDouble(cold[c].prefetches_served_mean, 1)});
   }
   table.Print(std::cout);
-  std::printf("\ncold IRR speedup (PR1 -> pipeline): %.2fx\n", cold_speedup);
+  std::printf("\ncold IRR prefetch speedup: %.2fx\n", prefetch_speedup);
   std::printf("warm repeat: %.3f ms, %llu read ops (must be 0)\n", warm_ms,
               static_cast<unsigned long long>(warm_reads));
   std::printf(
@@ -303,12 +280,10 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"params\": {\"scale\": %.2f, \"topics\": %u, \"epsilon\": "
                "%.2f, \"queries\": %u, \"k\": %u, \"keywords\": 2, "
-               "\"celf_theta\": %llu, \"hardware_threads\": %u, "
-               "\"pipeline_prefetch_threads\": %u},\n"
+               "\"celf_theta\": %llu, \"hardware_threads\": %u},\n"
                "  \"cold_irr\": {\n",
                flags.scale, flags.topics, flags.epsilon, flags.queries, k,
-               static_cast<unsigned long long>(kThetaCelf), hw_threads,
-               pipeline_prefetch);
+               static_cast<unsigned long long>(kThetaCelf), hw_threads);
   for (int c = 0; c < kNumConfigs; ++c) {
     std::fprintf(json,
                  "    \"%s\": {\"ms_mean\": %.4f, \"io_reads_mean\": %.2f, "
@@ -319,12 +294,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "  },\n"
-               "  \"cold_irr_speedup\": %.3f,\n"
+               "  \"prefetch_speedup\": %.3f,\n"
                "  \"warm\": {\"ms_mean\": %.4f, \"io_reads\": %llu},\n"
                "  \"seed_selection\": {\"pr1_ms\": %.4f, \"flat_first_ms\": "
                "%.4f, \"flat_steady_ms\": %.4f, \"speedup\": %.3f}\n"
                "}\n",
-               cold_speedup, warm_ms,
+               prefetch_speedup, warm_ms,
                static_cast<unsigned long long>(warm_reads), celf_pr1_ms,
                celf_flat_first_ms, celf_flat_ms, celf_speedup);
   std::fclose(json);

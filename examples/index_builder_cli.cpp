@@ -68,14 +68,9 @@ int RunVerify(const char* dir) {
       static_cast<unsigned long long>(result->rr_sets_checked),
       static_cast<unsigned long long>(result->inverted_entries_checked),
       static_cast<unsigned long long>(result->partitions_checked));
-  if (result->format_version >= 2) {
-    std::printf("format v%u: %llu checksums verified\n",
-                result->format_version,
-                static_cast<unsigned long long>(result->checksums_verified));
-  } else {
-    std::printf("format v%u: pre-checksum index, checksum stage skipped\n",
-                result->format_version);
-  }
+  std::printf("format v%u: %llu checksums verified\n",
+              result->format_version,
+              static_cast<unsigned long long>(result->checksums_verified));
   return 0;
 }
 

@@ -53,8 +53,7 @@ uint32_t PageCrc(const std::string& payload, uint64_t page) {
 
 Status WriteRrFile(const std::string& path, TopicId topic,
                    const RrCollection& sets, CodecKind codec_kind,
-                   uint32_t format_version, uint64_t* bytes_out,
-                   uint64_t* preamble_out) {
+                   uint64_t* bytes_out, uint64_t* preamble_out) {
   const auto codec = MakeCodec(codec_kind);
   const uint64_t count = sets.size();
 
@@ -71,49 +70,42 @@ Status WriteRrFile(const std::string& path, TopicId topic,
   }
   offsets.push_back(payload.size());
 
-  const bool v2 = format_version >= kIndexFormatV2;
   const uint64_t num_pages =
-      v2 ? (payload.size() + kRrCrcPageSize - 1) / kRrCrcPageSize : 0;
+      (payload.size() + kRrCrcPageSize - 1) / kRrCrcPageSize;
   const uint64_t dir_size = (count + 1) * sizeof(uint64_t);
-  const uint64_t preamble =
-      v2 ? kRrHeaderSizeV2 + dir_size + 4 + num_pages * 4
-         : kRrHeaderSizeV1 + dir_size;
+  const uint64_t preamble = kRrHeaderSizeV2 + dir_size + 4 + num_pages * 4;
   for (uint64_t& off : offsets) off += preamble;
 
   std::string header;
-  header.append(v2 ? kRrMagicV2 : kRrMagicV1, 4);
+  header.append(kRrMagicV2, 4);
   PutFixed32(&header, topic);
   PutFixed64(&header, count);
   header.push_back(static_cast<char>(codec_kind));
-  if (v2) {
-    PutFixed64(&header, num_pages);
-    PutFixed32(&header,
-               crc32c::Mask(crc32c::Value(header.data(), header.size())));
-  }
+  PutFixed64(&header, num_pages);
+  PutFixed32(&header,
+             crc32c::Mask(crc32c::Value(header.data(), header.size())));
 
   KBTIM_ASSIGN_OR_RETURN(auto writer, FileWriter::CreateAtomic(path));
   KBTIM_RETURN_IF_ERROR(writer->Append(header));
   const std::string_view dir_bytes{
       reinterpret_cast<const char*>(offsets.data()), dir_size};
   KBTIM_RETURN_IF_ERROR(writer->Append(dir_bytes));
-  if (v2) {
-    std::string crcs;
-    PutFixed32(&crcs, crc32c::Mask(crc32c::Value(dir_bytes.data(),
-                                                 dir_bytes.size())));
-    for (uint64_t page = 0; page < num_pages; ++page) {
-      PutFixed32(&crcs, PageCrc(payload, page));
-    }
-    KBTIM_RETURN_IF_ERROR(writer->Append(crcs));
+  std::string crcs;
+  PutFixed32(&crcs, crc32c::Mask(crc32c::Value(dir_bytes.data(),
+                                               dir_bytes.size())));
+  for (uint64_t page = 0; page < num_pages; ++page) {
+    PutFixed32(&crcs, PageCrc(payload, page));
   }
+  KBTIM_RETURN_IF_ERROR(writer->Append(crcs));
   KBTIM_RETURN_IF_ERROR(writer->Append(payload));
   *bytes_out = writer->offset();
-  *preamble_out = v2 ? preamble : 0;
+  *preamble_out = preamble;
   return writer->Close();
 }
 
 Status WriteListsFile(const std::string& path, TopicId topic,
                       const InvertedRrIndex& inverted, CodecKind codec_kind,
-                      uint32_t format_version, uint64_t* bytes_out) {
+                      uint64_t* bytes_out) {
   const auto codec = MakeCodec(codec_kind);
   uint64_t num_entries = 0;
   for (VertexId v = 0; v < inverted.num_vertices(); ++v) {
@@ -132,20 +124,17 @@ Status WriteListsFile(const std::string& path, TopicId topic,
     PutVarint64(&payload, tmp.size());
     payload += tmp;
   }
-  const bool v2 = format_version >= kIndexFormatV2;
   std::string header;
-  header.append(v2 ? kListsMagicV2 : kListsMagicV1, 4);
+  header.append(kListsMagicV2, 4);
   PutFixed32(&header, topic);
   PutFixed64(&header, num_entries);
   header.push_back(static_cast<char>(codec_kind));
-  if (v2) {
-    // The file is always read whole, so one payload CRC suffices; the
-    // header CRC also covers it.
-    PutFixed32(&header,
-               crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-    PutFixed32(&header,
-               crc32c::Mask(crc32c::Value(header.data(), header.size())));
-  }
+  // The file is always read whole, so one payload CRC suffices; the
+  // header CRC also covers it.
+  PutFixed32(&header,
+             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
+  PutFixed32(&header,
+             crc32c::Mask(crc32c::Value(header.data(), header.size())));
 
   KBTIM_ASSIGN_OR_RETURN(auto writer, FileWriter::CreateAtomic(path));
   KBTIM_RETURN_IF_ERROR(writer->Append(header));
@@ -157,8 +146,7 @@ Status WriteListsFile(const std::string& path, TopicId topic,
 Status WriteIrrFile(const std::string& path, TopicId topic,
                     const RrCollection& sets, const InvertedRrIndex& inverted,
                     uint32_t partition_size, CodecKind codec_kind,
-                    uint32_t format_version, uint64_t* bytes_out,
-                    uint64_t* preamble_out) {
+                    uint64_t* bytes_out, uint64_t* preamble_out) {
   const auto codec = MakeCodec(codec_kind);
   const uint64_t theta = sets.size();
 
@@ -246,32 +234,26 @@ Status WriteIrrFile(const std::string& path, TopicId topic,
   }
 
   // Header: magic | topic | num_users | num_partitions | delta | codec |
-  // theta (4+4+8+8+4+1+8 = 37 bytes); v2 appends a masked header CRC.
-  const bool v2 = format_version >= kIndexFormatV2;
+  // theta (4+4+8+8+4+1+8 = 37 bytes), then a masked header CRC.
   std::string header;
-  header.append(v2 ? kIrrMagicV2 : kIrrMagicV1, 4);
+  header.append(kIrrMagicV2, 4);
   PutFixed32(&header, topic);
   PutFixed64(&header, users.size());
   PutFixed64(&header, num_partitions);
   PutFixed32(&header, delta);
   header.push_back(static_cast<char>(codec_kind));
   PutFixed64(&header, theta);
-  if (v2) {
-    PutFixed32(&header,
-               crc32c::Mask(crc32c::Value(header.data(), header.size())));
-  }
+  PutFixed32(&header,
+             crc32c::Mask(crc32c::Value(header.data(), header.size())));
 
-  const size_t entry_size = v2 ? kIrrDirEntrySizeV2 : kIrrDirEntrySizeV1;
-  // v2: the preamble ends with a masked CRC of everything before it.
+  // The preamble ends with a masked CRC of everything before it.
   const uint64_t preamble = header.size() + ip_buf.size() +
-                            dir.size() * entry_size + (v2 ? 4 : 0);
+                            dir.size() * kIrrDirEntrySizeV2 + 4;
   std::string dir_buf;
-  dir_buf.reserve(dir.size() * entry_size);
+  dir_buf.reserve(dir.size() * kIrrDirEntrySizeV2);
   for (auto& info : dir) {
-    if (v2) {
-      info.crc = crc32c::Mask(
-          crc32c::Value(partitions.data() + info.offset, info.length));
-    }
+    info.crc = crc32c::Mask(
+        crc32c::Value(partitions.data() + info.offset, info.length));
     info.offset += preamble;
     PutFixed64(&dir_buf, info.offset);
     PutFixed64(&dir_buf, info.length);
@@ -279,21 +261,19 @@ Status WriteIrrFile(const std::string& path, TopicId topic,
     PutFixed32(&dir_buf, info.num_sets);
     PutFixed32(&dir_buf, info.max_list_len);
     PutFixed32(&dir_buf, info.min_list_len);
-    if (v2) PutFixed32(&dir_buf, info.crc);
+    PutFixed32(&dir_buf, info.crc);
   }
 
   KBTIM_ASSIGN_OR_RETURN(auto writer, FileWriter::CreateAtomic(path));
   KBTIM_RETURN_IF_ERROR(writer->Append(header));
   KBTIM_RETURN_IF_ERROR(writer->Append(ip_buf));
   KBTIM_RETURN_IF_ERROR(writer->Append(dir_buf));
-  if (v2) {
-    uint32_t pre_crc = crc32c::Value(header.data(), header.size());
-    pre_crc = crc32c::Extend(pre_crc, ip_buf.data(), ip_buf.size());
-    pre_crc = crc32c::Extend(pre_crc, dir_buf.data(), dir_buf.size());
-    std::string trailer;
-    PutFixed32(&trailer, crc32c::Mask(pre_crc));
-    KBTIM_RETURN_IF_ERROR(writer->Append(trailer));
-  }
+  uint32_t pre_crc = crc32c::Value(header.data(), header.size());
+  pre_crc = crc32c::Extend(pre_crc, ip_buf.data(), ip_buf.size());
+  pre_crc = crc32c::Extend(pre_crc, dir_buf.data(), dir_buf.size());
+  std::string trailer;
+  PutFixed32(&trailer, crc32c::Mask(pre_crc));
+  KBTIM_RETURN_IF_ERROR(writer->Append(trailer));
   KBTIM_RETURN_IF_ERROR(writer->Append(partitions));
   *bytes_out = writer->offset();
   *preamble_out = preamble;
@@ -369,19 +349,15 @@ Status BuildOneKeyword(const Graph& graph, const TfIdfModel& tfidf,
   InvertedRrIndex inverted(sets, graph.num_vertices());
   if (options.build_rr) {
     KBTIM_RETURN_IF_ERROR(WriteRrFile(RrFileName(dir, w), w, sets,
-                                      options.codec, options.format_version,
-                                      &art->rr_bytes,
+                                      options.codec, &art->rr_bytes,
                                       &art->meta.rr_preamble));
     KBTIM_RETURN_IF_ERROR(WriteListsFile(ListsFileName(dir, w), w, inverted,
-                                         options.codec,
-                                         options.format_version,
-                                         &art->lists_bytes));
+                                         options.codec, &art->lists_bytes));
   }
   if (options.build_irr) {
     KBTIM_RETURN_IF_ERROR(
         WriteIrrFile(IrrFileName(dir, w), w, sets, inverted,
-                     options.partition_size, options.codec,
-                     options.format_version, &art->irr_bytes,
+                     options.partition_size, options.codec, &art->irr_bytes,
                      &art->meta.irr_preamble));
   }
   return Status::OK();
@@ -433,7 +409,6 @@ StatusOr<IndexBuildReport> IndexBuilder::Build(const std::string& dir) {
   }
 
   IndexMeta meta;
-  meta.format_version = options_.format_version;
   meta.model = options_.model;
   meta.codec = options_.codec;
   meta.bound = options_.bound;

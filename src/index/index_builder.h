@@ -60,10 +60,6 @@ struct IndexBuildOptions {
   bool build_rr = true;
   bool build_irr = true;
 
-  /// On-disk format version to write (kIndexFormatV1 for compatibility
-  /// testing, kIndexFormatV2 = checksummed, the default).
-  uint32_t format_version = kIndexFormatLatest;
-
   /// Pilot-estimation tuning (k / floor / seed overridden per keyword).
   OptEstimateOptions opt_estimate{};
 };

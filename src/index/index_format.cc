@@ -54,8 +54,7 @@ const char* ThetaBoundKindName(ThetaBoundKind kind) {
 }
 
 Status WriteIndexMeta(const IndexMeta& meta, const std::string& path) {
-  if (meta.format_version != kIndexFormatV1 &&
-      meta.format_version != kIndexFormatV2) {
+  if (meta.format_version != kIndexFormatV2) {
     return Status::InvalidArgument("unsupported meta format version");
   }
   std::string buf;
@@ -80,13 +79,9 @@ Status WriteIndexMeta(const IndexMeta& meta, const std::string& path) {
     PutDouble(&buf, t.phi);
     PutDouble(&buf, t.opt_bound);
     PutFixed64(&buf, t.irr_preamble);
-    if (meta.format_version >= kIndexFormatV2) {
-      PutFixed64(&buf, t.rr_preamble);
-    }
+    PutFixed64(&buf, t.rr_preamble);
   }
-  if (meta.format_version >= kIndexFormatV2) {
-    PutFixed32(&buf, crc32c::Mask(crc32c::Value(buf.data(), buf.size())));
-  }
+  PutFixed32(&buf, crc32c::Mask(crc32c::Value(buf.data(), buf.size())));
   // Meta is written last and published atomically: a directory either has
   // a complete, consistent meta or none at all.
   KBTIM_ASSIGN_OR_RETURN(auto writer, FileWriter::CreateAtomic(path));
@@ -105,21 +100,21 @@ StatusOr<IndexMeta> ReadIndexMeta(const std::string& path) {
   }
   p += 4;
   uint32_t version = 0;
-  if (!GetFixed32(&p, limit, &version) ||
-      (version != kIndexFormatV1 && version != kIndexFormatV2)) {
-    return Status::Corruption("unsupported index meta version: " + path);
+  if (!GetFixed32(&p, limit, &version) || version != kIndexFormatV2) {
+    return Status::Corruption(
+        "index meta version " + std::to_string(version) +
+        " is not supported (this build reads version " +
+        std::to_string(kIndexFormatV2) + "); rebuild the index: " + path);
   }
-  if (version >= kIndexFormatV2) {
-    // The file's last 4 bytes are a masked CRC over everything before it.
-    if (buf.size() < 12) return Status::Corruption("truncated meta: " + path);
-    limit -= 4;
-    uint32_t stored = 0;
-    std::memcpy(&stored, limit, sizeof(stored));
-    const uint32_t actual =
-        crc32c::Value(buf.data(), buf.size() - sizeof(stored));
-    if (crc32c::Unmask(stored) != actual) {
-      return Status::Corruption("index meta checksum mismatch: " + path);
-    }
+  // The file's last 4 bytes are a masked CRC over everything before it.
+  if (buf.size() < 12) return Status::Corruption("truncated meta: " + path);
+  limit -= 4;
+  uint32_t stored = 0;
+  std::memcpy(&stored, limit, sizeof(stored));
+  const uint32_t actual =
+      crc32c::Value(buf.data(), buf.size() - sizeof(stored));
+  if (crc32c::Unmask(stored) != actual) {
+    return Status::Corruption("index meta checksum mismatch: " + path);
   }
   if (p + 4 > limit) return Status::Corruption("truncated meta: " + path);
   IndexMeta meta;
@@ -140,10 +135,8 @@ StatusOr<IndexMeta> ReadIndexMeta(const std::string& path) {
   for (auto& t : meta.topics) {
     ok = GetFixed64(&p, limit, &t.theta) && GetDouble(&p, limit, &t.tf_sum) &&
          GetDouble(&p, limit, &t.phi) && GetDouble(&p, limit, &t.opt_bound) &&
-         GetFixed64(&p, limit, &t.irr_preamble);
-    if (ok && version >= kIndexFormatV2) {
-      ok = GetFixed64(&p, limit, &t.rr_preamble);
-    }
+         GetFixed64(&p, limit, &t.irr_preamble) &&
+         GetFixed64(&p, limit, &t.rr_preamble);
     if (!ok) return Status::Corruption("truncated topic table: " + path);
   }
   return meta;

@@ -16,22 +16,27 @@
 // codec selected at build time (raw = Table 4's "uncompressed", pfor =
 // "compressed").
 //
-// Format versions. v1 (magics KBRW/KBLW/KBIW, meta version 1) has no
-// checksums. v2 (magics KBR2/KBL2/KBI2, meta version 2) adds CRC32C
-// integrity to every structure a reader touches, stored masked (see
-// storage/crc32c.h):
-//   rr_<w>.dat    header gains a page count + header CRC; the offset
-//                 directory gets one CRC; the payload is covered by a
-//                 table of per-4KiB-page CRCs so a prefix read of the
-//                 first θ^Q_w sets verifies exactly the pages it touched.
-//   lists_<w>.dat header gains a whole-payload CRC + header CRC (the file
-//                 is always read in full).
-//   irr_<w>.dat   header CRC, per-partition CRC in each directory entry,
+// Format version 2 (magics KBR2/KBL2/KBI2, meta version 2) is the only
+// one. Every structure a reader touches carries a CRC32C, stored masked
+// (see storage/crc32c.h):
+//   rr_<w>.dat    header: magic | topic u32 | count u64 | codec u8 |
+//                 num_pages u64 | header CRC; then the offset directory
+//                 and its CRC, then a table of per-4KiB-page payload CRCs,
+//                 so a prefix read of the first θ^Q_w sets verifies
+//                 exactly the pages it touched.
+//   lists_<w>.dat header: magic | topic u32 | count u64 | codec u8 |
+//                 payload CRC | header CRC (the file is always read in
+//                 full).
+//   irr_<w>.dat   header: magic | topic u32 | num_users u64 |
+//                 num_partitions u64 | delta u32 | codec u8 | theta u64 |
+//                 header CRC; a per-partition CRC in each directory entry,
 //                 and a preamble CRC trailing the directory.
-//   index_meta.kbm  version 2 appends per-topic rr_preamble (so the RR
-//                 reader can fetch header+directory+CRC tables in one
-//                 read) and a whole-file CRC.
-// Readers accept both versions; v1 serves with checksums off (warn-once).
+//   index_meta.kbm  per-topic rr_preamble (so the RR reader fetches
+//                 header+directory+CRC tables in one read) and a
+//                 whole-file CRC.
+// Readers refuse any other meta version with kCorruption and a message to
+// rebuild: IndexBuilder is deterministic from its seed, so a rebuild
+// reproduces the index.
 #ifndef KBTIM_INDEX_INDEX_FORMAT_H_
 #define KBTIM_INDEX_INDEX_FORMAT_H_
 
@@ -48,34 +53,21 @@
 
 namespace kbtim {
 
-// ---- Format versions and on-disk constants ---------------------------------
+// ---- Format version and on-disk constants ----------------------------------
 
-inline constexpr uint32_t kIndexFormatV1 = 1;  ///< PR 1: no checksums.
-inline constexpr uint32_t kIndexFormatV2 = 2;  ///< PR 7: CRC32C everywhere.
-inline constexpr uint32_t kIndexFormatLatest = kIndexFormatV2;
+inline constexpr uint32_t kIndexFormatV2 = 2;  ///< CRC32C everywhere.
 
-inline constexpr char kRrMagicV1[4] = {'K', 'B', 'R', 'W'};
 inline constexpr char kRrMagicV2[4] = {'K', 'B', 'R', '2'};
-inline constexpr char kListsMagicV1[4] = {'K', 'B', 'L', 'W'};
 inline constexpr char kListsMagicV2[4] = {'K', 'B', 'L', '2'};
-inline constexpr char kIrrMagicV1[4] = {'K', 'B', 'I', 'W'};
 inline constexpr char kIrrMagicV2[4] = {'K', 'B', 'I', '2'};
 
-/// v1 headers: magic | topic u32 | count u64 | codec u8 (rr/lists);
-/// the IRR header additionally carries num_partitions u64, delta u32 and
-/// theta u64.
-inline constexpr size_t kRrHeaderSizeV1 = 17;
-inline constexpr size_t kListsHeaderSizeV1 = 17;
-inline constexpr size_t kIrrHeaderSizeV1 = 37;
-
-/// v2 headers: the v1 fields plus (rr) num_pages u64, plus a trailing
-/// masked header CRC u32 on all three.
+/// Header sizes, each ending in its masked header CRC u32 (the CRC covers
+/// the header bytes before it).
 inline constexpr size_t kRrHeaderSizeV2 = 29;
 inline constexpr size_t kListsHeaderSizeV2 = 25;
 inline constexpr size_t kIrrHeaderSizeV2 = 41;
 
-/// IRR partition directory entry sizes (v2 appends a partition CRC u32).
-inline constexpr size_t kIrrDirEntrySizeV1 = 32;
+/// IRR partition directory entry size (ends in the partition CRC u32).
 inline constexpr size_t kIrrDirEntrySizeV2 = 36;
 
 /// RR payload checksum granularity: one masked CRC per 4 KiB payload page
@@ -95,10 +87,9 @@ const char* ThetaBoundKindName(ThetaBoundKind kind);
 
 /// Global index metadata.
 struct IndexMeta {
-  /// On-disk format version (kIndexFormatV1 / kIndexFormatV2). Builders
-  /// write the latest by default; readers accept both and disable
-  /// checksum verification for v1 directories.
-  uint32_t format_version = kIndexFormatLatest;
+  /// On-disk format version; kIndexFormatV2 is the only one written or
+  /// read.
+  uint32_t format_version = kIndexFormatV2;
   PropagationModel model = PropagationModel::kIndependentCascade;
   CodecKind codec = CodecKind::kPfor;
   ThetaBoundKind bound = ThetaBoundKind::kCompact;
@@ -124,13 +115,13 @@ struct IndexMeta {
     /// The OPT lower bound used in the θ_w denominator (diagnostics).
     double opt_bound = 0.0;
     /// Byte length of irr_<w>.dat's preamble (header + IP map + partition
-    /// directory [+ preamble CRC in v2]), so a query fetches it with a
-    /// single read.
+    /// directory + preamble CRC), so a query fetches it with a single
+    /// read.
     uint64_t irr_preamble = 0;
-    /// v2 only: byte length of rr_<w>.dat's preamble (header + offset
-    /// directory + directory CRC + page-CRC table) == the payload start,
-    /// so the first cold touch fetches the whole verified directory with
-    /// a single read. 0 in v1 metas (and for empty topics).
+    /// Byte length of rr_<w>.dat's preamble (header + offset directory +
+    /// directory CRC + page-CRC table) == the payload start, so the first
+    /// cold touch fetches the whole verified directory with a single
+    /// read. 0 for empty topics.
     uint64_t rr_preamble = 0;
   };
   std::vector<TopicMeta> topics;
@@ -139,7 +130,8 @@ struct IndexMeta {
 /// Serializes meta to `path`.
 Status WriteIndexMeta(const IndexMeta& meta, const std::string& path);
 
-/// Reads and validates meta.
+/// Reads and validates meta. A version other than kIndexFormatV2 is
+/// kCorruption naming the version and asking for a rebuild.
 StatusOr<IndexMeta> ReadIndexMeta(const std::string& path);
 
 // ---- Query budgets ---------------------------------------------------------
@@ -183,8 +175,8 @@ struct IrrPartitionInfo {
   uint32_t max_list_len = 0;
   /// Shortest inverted list in this partition.
   uint32_t min_list_len = 0;
-  /// v2 only: masked CRC32C of the partition's encoded bytes
-  /// [offset, offset + length). 0 in v1 files.
+  /// Masked CRC32C of the partition's encoded bytes
+  /// [offset, offset + length).
   uint32_t crc = 0;
 };
 

@@ -62,18 +62,15 @@ Status IndexScrubber::CheckCrc(const char* data, size_t n,
 }
 
 Status IndexScrubber::RunUnit(std::function<Status()> unit) {
-  Status result;
-  bool ran_on_pool = false;
-  if (options_.use_prefetch_pool) {
-    // The pool's own queue provides the backpressure: while queries are
-    // prefetching, scrub units wait their turn instead of competing.
-    std::promise<Status> done;
-    auto future = done.get_future();
-    ran_on_pool = cache_->RunOnPrefetchPool(
-        [&unit, &done] { done.set_value(unit()); });
-    if (ran_on_pool) result = future.get();
-  }
-  if (!ran_on_pool) result = unit();
+  // The pool's own queue provides the backpressure: while queries are
+  // prefetching, scrub units wait their turn instead of competing. A
+  // cache without a pool runs the unit inline.
+  std::promise<Status> done;
+  auto future = done.get_future();
+  const Status result =
+      cache_->RunOnPrefetchPool([&unit, &done] { done.set_value(unit()); })
+          ? future.get()
+          : unit();
   if (options_.pace_ms > 0 && !stop_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(options_.pace_ms));
   }
@@ -83,8 +80,8 @@ Status IndexScrubber::RunUnit(std::function<Status()> unit) {
 Status IndexScrubber::VerifyRrFile(TopicId topic) {
   const std::string path = RrFileName(cache_->dir(), topic);
   const IndexMeta::TopicMeta& tm = cache_->meta().topics[topic];
-  KBTIM_ASSIGN_OR_RETURN(
-      auto file, RandomAccessFile::Open(path, cache_->options().use_mmap));
+  KBTIM_ASSIGN_OR_RETURN(auto file,
+                         RandomAccessFile::Open(path, /*prefer_mmap=*/true));
   const uint64_t file_size = file->size();
   if (tm.rr_preamble < kRrHeaderSizeV2 + 12 || tm.rr_preamble > file_size) {
     return Status::Corruption("bad RR preamble length (scrub): " + path);
@@ -95,9 +92,10 @@ Status IndexScrubber::VerifyRrFile(TopicId topic) {
   if (std::memcmp(head.data(), kRrMagicV2, 4) != 0) {
     return Status::Corruption("bad RR magic (scrub): " + path);
   }
-  KBTIM_RETURN_IF_ERROR(CheckCrc(head.data(), 25,
-                                 LoadFixed32(head.data() + 25), "RR header",
-                                 path));
+  constexpr size_t kHeaderCrcAt = kRrHeaderSizeV2 - 4;
+  KBTIM_RETURN_IF_ERROR(CheckCrc(head.data(), kHeaderCrcAt,
+                                 LoadFixed32(head.data() + kHeaderCrcAt),
+                                 "RR header", path));
   const uint64_t count = LoadFixed64(head.data() + 8);
   const uint64_t num_pages = LoadFixed64(head.data() + 17);
   const uint64_t dir_size = (count + 1) * sizeof(uint64_t);
@@ -136,8 +134,8 @@ Status IndexScrubber::VerifyRrFile(TopicId topic) {
 
 Status IndexScrubber::VerifyListsFile(TopicId topic) {
   const std::string path = ListsFileName(cache_->dir(), topic);
-  KBTIM_ASSIGN_OR_RETURN(
-      auto file, RandomAccessFile::Open(path, cache_->options().use_mmap));
+  KBTIM_ASSIGN_OR_RETURN(auto file,
+                         RandomAccessFile::Open(path, /*prefer_mmap=*/true));
   std::string scratch;
   KBTIM_ASSIGN_OR_RETURN(std::string_view buf,
                          file->ReadOrCopy(0, file->size(), &scratch));
@@ -145,8 +143,9 @@ Status IndexScrubber::VerifyListsFile(TopicId topic) {
       std::memcmp(buf.data(), kListsMagicV2, 4) != 0) {
     return Status::Corruption("bad lists magic (scrub): " + path);
   }
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 21,
-                                 LoadFixed32(buf.data() + 21),
+  constexpr size_t kHeaderCrcAt = kListsHeaderSizeV2 - 4;
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), kHeaderCrcAt,
+                                 LoadFixed32(buf.data() + kHeaderCrcAt),
                                  "lists header", path));
   return CheckCrc(buf.data() + kListsHeaderSizeV2,
                   buf.size() - kListsHeaderSizeV2,
@@ -156,8 +155,8 @@ Status IndexScrubber::VerifyListsFile(TopicId topic) {
 Status IndexScrubber::VerifyIrrFile(TopicId topic) {
   const std::string path = IrrFileName(cache_->dir(), topic);
   const IndexMeta::TopicMeta& tm = cache_->meta().topics[topic];
-  KBTIM_ASSIGN_OR_RETURN(
-      auto file, RandomAccessFile::Open(path, cache_->options().use_mmap));
+  KBTIM_ASSIGN_OR_RETURN(auto file,
+                         RandomAccessFile::Open(path, /*prefer_mmap=*/true));
   if (tm.irr_preamble < kIrrHeaderSizeV2 + 4 ||
       tm.irr_preamble > file->size()) {
     return Status::Corruption("bad IRR preamble length (scrub): " + path);
@@ -171,8 +170,9 @@ Status IndexScrubber::VerifyIrrFile(TopicId topic) {
   KBTIM_RETURN_IF_ERROR(CheckCrc(pre.data(), pre.size() - 4,
                                  LoadFixed32(pre.data() + pre.size() - 4),
                                  "IRR preamble", path));
-  KBTIM_RETURN_IF_ERROR(CheckCrc(pre.data(), kIrrHeaderSizeV1,
-                                 LoadFixed32(pre.data() + kIrrHeaderSizeV1),
+  constexpr size_t kHeaderCrcAt = kIrrHeaderSizeV2 - 4;
+  KBTIM_RETURN_IF_ERROR(CheckCrc(pre.data(), kHeaderCrcAt,
+                                 LoadFixed32(pre.data() + kHeaderCrcAt),
                                  "IRR header", path));
   const uint64_t num_partitions = LoadFixed64(pre.data() + 16);
   const uint64_t dir_bytes = num_partitions * kIrrDirEntrySizeV2;
@@ -204,11 +204,6 @@ Status IndexScrubber::ScrubTopic(TopicId topic) {
   const IndexMeta& meta = cache_->meta();
   if (topic >= meta.num_topics) {
     return Status::InvalidArgument("scrub topic out of range");
-  }
-  if (meta.format_version < kIndexFormatV2) {
-    MutexLock lock(&mu_);
-    ++stats_.topics_skipped_unversioned;
-    return Status::OK();
   }
   const IndexMeta::TopicMeta& tm = meta.topics[topic];
   if (tm.theta == 0) return Status::OK();  // empty topic: no files

@@ -1,5 +1,5 @@
-// Online integrity scrubber: paced background verification of checksummed
-// (format v2) index files under live traffic, with auto-quarantine and
+// Online integrity scrubber: paced background verification of the
+// checksummed index files under live traffic, with auto-quarantine and
 // single-topic rebuild on detection.
 //
 // Verify-on-read (KeywordCache) only protects blocks a query touches; a
@@ -19,14 +19,12 @@
 //
 // Politeness under load: each file-level verification unit runs on the
 // cache-owned prefetch pool (sharing its concurrency bound with query
-// prefetches rather than adding threads) and pace_ms of sleep separates
-// units. Before touching a topic the scrubber consults the admit hook —
-// wired to the serving layer's per-topic circuit breaker via the
-// READ-ONLY state check — so it never races a failure domain that is
+// prefetches rather than adding threads; a cache built with
+// prefetch_threads = 0 has no pool, and units run inline) and pace_ms of
+// sleep separates units. Before touching a topic the scrubber consults the
+// admit hook — wired to the serving layer's per-topic circuit breaker via
+// the READ-ONLY state check — so it never races a failure domain that is
 // already open (and never consumes a half-open probe).
-//
-// v1 (pre-checksum) directories have nothing to verify; every pass counts
-// them in topics_skipped_unversioned and leaves them alone.
 #ifndef KBTIM_INDEX_INDEX_SCRUBBER_H_
 #define KBTIM_INDEX_INDEX_SCRUBBER_H_
 
@@ -48,10 +46,6 @@ struct IndexScrubberOptions {
   /// 0 scrubs flat out — tests use that; production paces.
   uint32_t pace_ms = 10;
 
-  /// Run verification units on the cache's prefetch pool when it exists
-  /// (falls back inline when the pool is disabled).
-  bool use_prefetch_pool = true;
-
   /// Quarantine + rebuild on detection. Off = detect-and-report only
   /// (ScrubTopic returns kCorruption, files stay in place).
   bool repair = true;
@@ -70,8 +64,7 @@ struct IndexScrubberStats {
   uint64_t bytes_scrubbed = 0;     ///< Bytes hashed.
   uint64_t crc_failures = 0;       ///< Mismatches detected.
   uint64_t topics_scrubbed = 0;    ///< Topics fully verified clean.
-  uint64_t topics_skipped_breaker = 0;      ///< Breaker open — not touched.
-  uint64_t topics_skipped_unversioned = 0;  ///< v1 files — nothing to verify.
+  uint64_t topics_skipped_breaker = 0;  ///< Breaker open — not touched.
   uint64_t quarantines = 0;        ///< Topics renamed aside pending rebuild.
   uint64_t rebuilds = 0;           ///< Successful single-topic rebuilds.
   uint64_t rebuild_failures = 0;   ///< Rebuilder errors (topic stays quarantined).
@@ -123,8 +116,8 @@ class IndexScrubber {
   Status VerifyListsFile(TopicId topic);
   Status VerifyIrrFile(TopicId topic);
 
-  /// Runs `unit` on the prefetch pool when configured (waiting for it),
-  /// inline otherwise, then paces.
+  /// Runs `unit` on the cache's prefetch pool (waiting for it), inline
+  /// when the cache has none, then paces.
   Status RunUnit(std::function<Status()> unit);
 
   /// Renames the topic's data files aside and runs the rebuilder.

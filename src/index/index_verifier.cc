@@ -62,35 +62,26 @@ Status VerifyRrFile(const std::string& path, const IndexMeta& meta,
   KBTIM_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
   std::string buf;
   KBTIM_RETURN_IF_ERROR(file->Read(0, file->size(), &buf));
-  bool v2 = false;
-  if (buf.size() >= 4 && std::memcmp(buf.data(), "KBR2", 4) == 0) {
-    v2 = true;
-  } else if (buf.size() < 4 || std::memcmp(buf.data(), "KBRW", 4) != 0) {
+  if (buf.size() < 4 || std::memcmp(buf.data(), "KBR2", 4) != 0) {
     return Corrupt("rr file bad magic", w);
   }
-  if (v2 != (meta.format_version >= 2)) {
-    return Corrupt("rr file format version disagrees with meta", w);
-  }
-  const uint64_t kHeader = v2 ? 29 : 17;
+  const uint64_t kHeader = 29;
   if (buf.size() < kHeader) return Corrupt("rr file header truncated", w);
   uint32_t topic = 0;
   uint64_t count = 0, num_pages = 0;
   std::memcpy(&topic, buf.data() + 4, 4);
   std::memcpy(&count, buf.data() + 8, 8);
   const auto codec_kind = static_cast<CodecKind>(buf[16]);
-  if (v2) {
-    std::memcpy(&num_pages, buf.data() + 17, 8);
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 25, LoadFixed32(buf.data() + 25),
-                                   "rr header", w, stats));
-  }
+  std::memcpy(&num_pages, buf.data() + 17, 8);
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 25, LoadFixed32(buf.data() + 25),
+                                 "rr header", w, stats));
   if (topic != w) return Corrupt("rr file topic mismatch", w);
   if (codec_kind != meta.codec) return Corrupt("rr file codec mismatch", w);
   if (count != meta.topics[w].theta) {
     return Corrupt("rr file count != theta_w", w);
   }
   const uint64_t dir_size = (count + 1) * sizeof(uint64_t);
-  const uint64_t preamble =
-      kHeader + dir_size + (v2 ? 4 + num_pages * 4 : 0);
+  const uint64_t preamble = kHeader + dir_size + 4 + num_pages * 4;
   if (buf.size() < preamble) {
     return Corrupt("rr file directory truncated", w);
   }
@@ -102,26 +93,24 @@ Status VerifyRrFile(const std::string& path, const IndexMeta& meta,
   if (offsets[count] != buf.size()) {
     return Corrupt("rr file directory does not end at EOF", w);
   }
-  if (meta.topics[w].rr_preamble != (v2 ? preamble : 0)) {
+  if (meta.topics[w].rr_preamble != preamble) {
     return Corrupt("rr preamble length disagrees with meta", w);
   }
-  if (v2) {
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + kHeader, dir_size,
-                                   LoadFixed32(buf.data() + kHeader + dir_size),
-                                   "rr directory", w, stats));
-    const uint64_t payload_size = buf.size() - preamble;
-    if (num_pages != (payload_size + kRrCrcPageSize - 1) / kRrCrcPageSize) {
-      return Corrupt("rr page count disagrees with payload size", w);
-    }
-    const char* crcs = buf.data() + kHeader + dir_size + 4;
-    for (uint64_t page = 0; page < num_pages; ++page) {
-      const uint64_t begin = page * kRrCrcPageSize;
-      const uint64_t end =
-          std::min<uint64_t>(payload_size, begin + kRrCrcPageSize);
-      KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + preamble + begin,
-                                     end - begin, LoadFixed32(crcs + page * 4),
-                                     "rr page", w, stats));
-    }
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + kHeader, dir_size,
+                                 LoadFixed32(buf.data() + kHeader + dir_size),
+                                 "rr directory", w, stats));
+  const uint64_t payload_size = buf.size() - preamble;
+  if (num_pages != (payload_size + kRrCrcPageSize - 1) / kRrCrcPageSize) {
+    return Corrupt("rr page count disagrees with payload size", w);
+  }
+  const char* crcs = buf.data() + kHeader + dir_size + 4;
+  for (uint64_t page = 0; page < num_pages; ++page) {
+    const uint64_t begin = page * kRrCrcPageSize;
+    const uint64_t end =
+        std::min<uint64_t>(payload_size, begin + kRrCrcPageSize);
+    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + preamble + begin, end - begin,
+                                   LoadFixed32(crcs + page * 4), "rr page", w,
+                                   stats));
   }
   const auto codec = MakeCodec(codec_kind);
   std::vector<uint32_t> members;
@@ -164,16 +153,10 @@ Status VerifyListsFile(const std::string& path, const IndexMeta& meta,
   KBTIM_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
   std::string buf;
   KBTIM_RETURN_IF_ERROR(file->Read(0, file->size(), &buf));
-  bool v2 = false;
-  if (buf.size() >= 4 && std::memcmp(buf.data(), "KBL2", 4) == 0) {
-    v2 = true;
-  } else if (buf.size() < 4 || std::memcmp(buf.data(), "KBLW", 4) != 0) {
+  if (buf.size() < 4 || std::memcmp(buf.data(), "KBL2", 4) != 0) {
     return Corrupt("lists file bad magic", w);
   }
-  if (v2 != (meta.format_version >= 2)) {
-    return Corrupt("lists file format version disagrees with meta", w);
-  }
-  const uint64_t kHeader = v2 ? 25 : 17;
+  const uint64_t kHeader = 25;
   if (buf.size() < kHeader) return Corrupt("lists file header truncated", w);
   uint32_t topic = 0;
   uint64_t num_entries = 0;
@@ -183,13 +166,11 @@ Status VerifyListsFile(const std::string& path, const IndexMeta& meta,
   if (topic != w || codec_kind != meta.codec) {
     return Corrupt("lists file header mismatch", w);
   }
-  if (v2) {
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 21, LoadFixed32(buf.data() + 21),
-                                   "lists header", w, stats));
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + kHeader, buf.size() - kHeader,
-                                   LoadFixed32(buf.data() + 17),
-                                   "lists payload", w, stats));
-  }
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 21, LoadFixed32(buf.data() + 21),
+                                 "lists header", w, stats));
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + kHeader, buf.size() - kHeader,
+                                 LoadFixed32(buf.data() + 17), "lists payload",
+                                 w, stats));
   const auto codec = MakeCodec(codec_kind);
   const char* p = buf.data() + kHeader;
   const char* limit = buf.data() + buf.size();
@@ -240,21 +221,13 @@ Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
   KBTIM_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
   std::string buf;
   KBTIM_RETURN_IF_ERROR(file->Read(0, file->size(), &buf));
-  bool v2 = false;
-  if (buf.size() >= 4 && std::memcmp(buf.data(), "KBI2", 4) == 0) {
-    v2 = true;
-  } else if (buf.size() < 4 || std::memcmp(buf.data(), "KBIW", 4) != 0) {
+  if (buf.size() < 4 || std::memcmp(buf.data(), "KBI2", 4) != 0) {
     return Corrupt("irr file bad magic", w);
   }
-  if (v2 != (meta.format_version >= 2)) {
-    return Corrupt("irr file format version disagrees with meta", w);
-  }
-  const uint64_t kHeader = v2 ? 41 : 37;
+  const uint64_t kHeader = 41;
   if (buf.size() < kHeader) return Corrupt("irr file header truncated", w);
-  if (v2) {
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 37, LoadFixed32(buf.data() + 37),
-                                   "irr header", w, stats));
-  }
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 37, LoadFixed32(buf.data() + 37),
+                                 "irr header", w, stats));
   uint32_t topic = 0, delta = 0;
   uint64_t num_users = 0, num_partitions = 0, theta = 0;
   std::memcpy(&topic, buf.data() + 4, 4);
@@ -302,16 +275,16 @@ Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
     }
   }
 
-  // Partition directory (v2 entries carry a per-partition CRC and the
+  // Partition directory (entries carry a per-partition CRC and the
   // preamble ends with a CRC of everything before it).
-  const uint64_t entry_size = v2 ? 36 : 32;
+  const uint64_t entry_size = 36;
+  const uint64_t dir_and_crc = num_partitions * entry_size + 4;
   if (meta.topics[w].irr_preamble !=
-      static_cast<uint64_t>(p - buf.data()) + num_partitions * entry_size +
-          (v2 ? 4 : 0)) {
+      static_cast<uint64_t>(p - buf.data()) + dir_and_crc) {
     return Corrupt("irr preamble length disagrees with meta", w);
   }
   std::vector<IrrPartitionInfo> dir(num_partitions);
-  if (p + num_partitions * entry_size + (v2 ? 4 : 0) > limit) {
+  if (p + dir_and_crc > limit) {
     return Corrupt("irr directory truncated", w);
   }
   for (auto& info : dir) {
@@ -321,14 +294,12 @@ Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
     std::memcpy(&info.num_sets, p + 20, 4);
     std::memcpy(&info.max_list_len, p + 24, 4);
     std::memcpy(&info.min_list_len, p + 28, 4);
-    if (v2) info.crc = LoadFixed32(p + 32);
+    info.crc = LoadFixed32(p + 32);
     p += entry_size;
   }
-  if (v2) {
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), p - buf.data(),
-                                   LoadFixed32(p), "irr preamble", w, stats));
-    p += 4;
-  }
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), p - buf.data(), LoadFixed32(p),
+                                 "irr preamble", w, stats));
+  p += 4;
   uint64_t expected_offset = static_cast<uint64_t>(p - buf.data());
   uint64_t users_seen = 0, sets_seen = 0;
   uint32_t prev_min_len = ~0u;
@@ -350,10 +321,8 @@ Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
       return Corrupt("irr partitions not ordered by list length", w);
     }
     prev_min_len = info.min_list_len;
-    if (v2) {
-      KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + info.offset, info.length,
-                                     info.crc, "irr partition", w, stats));
-    }
+    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + info.offset, info.length,
+                                   info.crc, "irr partition", w, stats));
     const char* q = buf.data() + info.offset;
     const char* qlimit = q + info.length;
     // IL^p

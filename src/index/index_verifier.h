@@ -15,11 +15,10 @@
 //     list length; IR partitions cover every RR id exactly once; the IP
 //     map's first-occurrence equals the head of each user's list.
 //
-// Format v2 files additionally get a checksum stage: every stored CRC32C
-// (rr header/directory/page CRCs, lists header/payload CRCs, irr
-// header/partition/preamble CRCs) is recomputed and compared. v1 files
-// have no stored checksums; the verifier reports their version and skips
-// the stage rather than failing.
+// A checksum stage recomputes every stored CRC32C (rr header/directory/
+// page CRCs, lists header/payload CRCs, irr header/partition/preamble
+// CRCs) and compares it. A meta of any version but 2 is refused, as every
+// reader refuses it (ReadIndexMeta).
 #ifndef KBTIM_INDEX_INDEX_VERIFIER_H_
 #define KBTIM_INDEX_INDEX_VERIFIER_H_
 
@@ -32,12 +31,12 @@ namespace kbtim {
 
 /// Aggregate statistics from a verification pass.
 struct IndexVerification {
-  uint32_t format_version = 0;  ///< From the meta (1 = pre-checksum files).
+  uint32_t format_version = 0;  ///< From the meta.
   uint32_t topics_checked = 0;
   uint64_t rr_sets_checked = 0;
   uint64_t inverted_entries_checked = 0;
   uint64_t partitions_checked = 0;
-  uint64_t checksums_verified = 0;  ///< Stored CRCs recomputed; 0 on v1.
+  uint64_t checksums_verified = 0;  ///< Stored CRCs recomputed.
 };
 
 /// Verifies every structure in `dir`. Returns Corruption with a

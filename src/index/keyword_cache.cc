@@ -33,8 +33,8 @@ inline void DeltaDecodeSpan(uint32_t* buf, size_t n) {
 }
 
 /// Decodes one length-prefixed codec payload at `p`, APPENDING its *n
-/// delta-decoded values to `out`. PFoR payloads in batch mode take the
-/// monomorphic PforDecodeAppend fast path straight into the destination
+/// delta-decoded values to `out`. PFoR payloads take the monomorphic
+/// PforDecodeAppend fast path straight into the destination
 /// (the partition decoders parse thousands of few-element lists, so the
 /// generic virtual-dispatch + temp-copy framing dominates otherwise);
 /// everything else goes through codec->Decode on an exact sub-view plus a
@@ -92,8 +92,7 @@ Status IrrPartitionBlock::EnsureMembers() const {
     const char* p = ir_raw.data();
     const char* limit = p + ir_raw.size();
     const auto codec = MakeCodec(ir_codec);
-    const bool fast_pfor =
-        ir_codec == CodecKind::kPfor && BatchDecodeEnabled();
+    const bool fast_pfor = ir_codec == CodecKind::kPfor;
     std::vector<uint32_t> tmp;
     size_t n = 0;
     for (size_t i = 0; i < set_ids.size(); ++i) {
@@ -139,14 +138,6 @@ std::span<const RrId> RrKeywordBlock::ListOf(VertexId v,
 StatusOr<std::shared_ptr<KeywordCache>> KeywordCache::Create(
     const std::string& dir, KeywordCacheOptions options) {
   KBTIM_ASSIGN_OR_RETURN(IndexMeta meta, ReadIndexMeta(MetaFileName(dir)));
-  if (meta.format_version < kIndexFormatV2) {
-    // Once per cache (i.e. per opened directory), not per read.
-    KBTIM_LOG(Warning) << "index " << dir << " is format v"
-                       << meta.format_version
-                       << " (pre-checksum); serving with checksums=off — "
-                          "rebuild to v" << kIndexFormatLatest
-                       << " for verify-on-read integrity";
-  }
   return std::shared_ptr<KeywordCache>(
       new KeywordCache(dir, std::move(meta), options));
 }
@@ -264,7 +255,9 @@ void KeywordCache::WaitForPrefetches() {
   {
     MutexLock lock(&mu_);
     pending.reserve(inflight_.size());
-    for (const auto& [key, future] : inflight_) pending.push_back(future);
+    for (const auto& [key, decode] : inflight_) {
+      pending.push_back(decode.future);
+    }
   }
   for (const auto& future : pending) future.wait();
 }
@@ -286,13 +279,13 @@ void KeywordCache::EvictToFitLocked(uint64_t incoming_bytes) {
   }
 }
 
-void KeywordCache::InsertBlockLocked(const BlockKey& key,
-                                     std::shared_ptr<const void> block,
-                                     uint64_t bytes) {
+KeywordCache::BlockSlot& KeywordCache::InsertBlockLocked(
+    const BlockKey& key, std::shared_ptr<const void> block, uint64_t bytes) {
   EvictToFitLocked(bytes);
   lru_.push_front(key);
-  blocks_.emplace(key, BlockSlot{std::move(block), bytes, lru_.begin()});
   stats_.bytes_cached += bytes;
+  return blocks_.emplace(key, BlockSlot{std::move(block), bytes, lru_.begin()})
+      .first->second;
 }
 
 void KeywordCache::EraseBlockLocked(const BlockKey& key) {
@@ -357,41 +350,36 @@ StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::LoadIrrEntry(
     TopicId topic) {
   const std::string path = IrrFileName(dir_, topic);
   const IndexMeta::TopicMeta& tm = meta_.topics[topic];
-  const bool v2 = meta_.format_version >= kIndexFormatV2;
-  const uint64_t header_size = v2 ? kIrrHeaderSizeV2 : kIrrHeaderSizeV1;
-  const size_t entry_size = v2 ? kIrrDirEntrySizeV2 : kIrrDirEntrySizeV1;
   auto entry = std::make_shared<IrrKeywordEntry>();
   entry->topic = topic;
-  entry->checksummed = v2;
   KBTIM_ASSIGN_OR_RETURN(entry->file,
-                         RandomAccessFile::Open(path, options_.use_mmap));
-  if (tm.irr_preamble < header_size + (v2 ? 4 : 0) ||
+                         RandomAccessFile::Open(path, /*prefer_mmap=*/true));
+  if (tm.irr_preamble < kIrrHeaderSizeV2 + 4 ||
       tm.irr_preamble > entry->file->size()) {
     return Status::Corruption("bad IRR preamble length: " + path);
   }
-  // Single logical read: header + IP map + partition directory (+ the
-  // trailing preamble CRC in v2).
+  // Single logical read: header + IP map + partition directory + the
+  // trailing preamble CRC.
   std::string scratch;
   KBTIM_ASSIGN_OR_RETURN(std::string_view buf,
                          entry->file->ReadOrCopy(0, tm.irr_preamble,
                                                  &scratch));
   const char* p = buf.data();
   const char* limit = buf.data() + buf.size();
-  if (std::memcmp(p, v2 ? kIrrMagicV2 : kIrrMagicV1, 4) != 0) {
+  if (std::memcmp(p, kIrrMagicV2, 4) != 0) {
     return Status::Corruption("bad IRR magic: " + path);
   }
-  if (v2) {
-    // Whole-preamble CRC first (covers header + IP + directory), so every
-    // byte the parse below trusts has been verified; then the header's
-    // own CRC (cheap, and localizes the error message).
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), buf.size() - 4,
-                                   LoadFixed32(limit - 4), "IRR preamble",
-                                   path));
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), kIrrHeaderSizeV1,
-                                   LoadFixed32(p + kIrrHeaderSizeV1),
-                                   "IRR header", path));
-    limit -= 4;
-  }
+  // Whole-preamble CRC first (covers header + IP + directory), so every
+  // byte the parse below trusts has been verified; then the header's own
+  // CRC (cheap, and localizes the error message).
+  constexpr size_t kHeaderCrcAt = kIrrHeaderSizeV2 - 4;
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), buf.size() - 4,
+                                 LoadFixed32(limit - 4), "IRR preamble",
+                                 path));
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), kHeaderCrcAt,
+                                 LoadFixed32(p + kHeaderCrcAt), "IRR header",
+                                 path));
+  limit -= 4;
   uint32_t file_topic = 0, delta = 0;
   std::memcpy(&file_topic, p + 4, 4);
   std::memcpy(&entry->num_users, p + 8, 8);
@@ -399,7 +387,7 @@ StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::LoadIrrEntry(
   std::memcpy(&delta, p + 24, 4);
   entry->codec = static_cast<CodecKind>(p[28]);
   std::memcpy(&entry->theta_w, p + 29, 8);
-  p += header_size;
+  p += kIrrHeaderSizeV2;
   if (file_topic != topic || entry->codec != meta_.codec) {
     return Status::Corruption("IRR header mismatch: " + path);
   }
@@ -410,7 +398,7 @@ StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::LoadIrrEntry(
   // OOMing.
   const uint64_t remaining = static_cast<uint64_t>(limit - p);
   if (entry->num_users > remaining / 2 ||
-      entry->num_partitions > remaining / entry_size) {
+      entry->num_partitions > remaining / kIrrDirEntrySizeV2) {
     return Status::Corruption("IRR preamble counts exceed file: " + path);
   }
 
@@ -432,7 +420,7 @@ StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::LoadIrrEntry(
 
   // Partition directory (fixed-size entries; num_partitions already
   // bounded above, so the multiply cannot wrap).
-  if (entry->num_partitions * entry_size >
+  if (entry->num_partitions * kIrrDirEntrySizeV2 >
       static_cast<uint64_t>(limit - p)) {
     return Status::Corruption("IRR directory truncated: " + path);
   }
@@ -444,8 +432,8 @@ StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::LoadIrrEntry(
     std::memcpy(&info.num_sets, p + 20, 4);
     std::memcpy(&info.max_list_len, p + 24, 4);
     std::memcpy(&info.min_list_len, p + 28, 4);
-    if (v2) std::memcpy(&info.crc, p + 32, 4);
-    p += entry_size;
+    std::memcpy(&info.crc, p + 32, 4);
+    p += kIrrDirEntrySizeV2;
   }
   return std::shared_ptr<const IrrKeywordEntry>(std::move(entry));
 }
@@ -464,6 +452,10 @@ KeywordCache::GetIrrPartition(const IrrKeywordEntry& entry,
     const auto it = blocks_.find(key);
     if (it != blocks_.end()) {
       ++stats_.hits;
+      if (it->second.prefetched) {
+        ++stats_.prefetch_hits;
+        it->second.prefetched = false;
+      }
       TouchLocked(it->second);
       return std::static_pointer_cast<const IrrPartitionBlock>(
           it->second.block);
@@ -473,7 +465,8 @@ KeywordCache::GetIrrPartition(const IrrKeywordEntry& entry,
     const auto fit = inflight_.find(key);
     if (fit != inflight_.end()) {
       ++stats_.prefetches_served;
-      inflight = fit->second;
+      fit->second.joined = true;
+      inflight = fit->second.future;
     }
   }
   if (inflight.valid()) {
@@ -526,6 +519,8 @@ void KeywordCache::PrefetchIrrPartition(
           bool admitted = true;
           {
             MutexLock lock(&mu_);
+            const auto fit = inflight_.find(key);
+            const bool joined = fit != inflight_.end() && fit->second.joined;
             if (EpochLocked(key.topic) == epoch) {
               const auto it = blocks_.find(key);
               if (it != blocks_.end()) {
@@ -536,7 +531,8 @@ void KeywordCache::PrefetchIrrPartition(
                 ++stats_.admission_bypasses;
                 admitted = false;
               } else {
-                InsertBlockLocked(key, *decoded, (*decoded)->bytes);
+                InsertBlockLocked(key, *decoded, (*decoded)->bytes)
+                    .prefetched = !joined;
               }
             }
             // Remember admission refusals: re-prefetching an uncacheable
@@ -566,7 +562,7 @@ void KeywordCache::PrefetchIrrPartition(
         EpochLocked(key.topic) != epoch) {
       return;
     }
-    inflight_.emplace(key, task->get_future().share());
+    inflight_.emplace(key, InflightDecode{task->get_future().share()});
     ++stats_.prefetches_issued;
   }
   prefetch_pool_->Submit([task] { (*task)(); });
@@ -582,18 +578,15 @@ KeywordCache::DecodeIrrPartition(const IrrKeywordEntry& entry,
   KBTIM_ASSIGN_OR_RETURN(
       std::string_view buf,
       entry.file->ReadOrCopy(info.offset, info.length, &scratch));
-  if (entry.checksummed) {
-    // Verify the exact bytes read before any decode touches them: a bit
-    // flip (in the file or injected on the read) becomes kCorruption
-    // here, never a silently-different seed set.
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), buf.size(), info.crc,
-                                   "IRR partition", entry.file->path()));
-  }
+  // Verify the exact bytes read before any decode touches them: a bit flip
+  // (in the file or injected on the read) becomes kCorruption here, never
+  // a silently-different seed set.
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), buf.size(), info.crc,
+                                 "IRR partition", entry.file->path()));
   const char* p = buf.data();
   const char* limit = buf.data() + buf.size();
   const auto codec = MakeCodec(entry.codec);
-  const bool fast_pfor =
-      entry.codec == CodecKind::kPfor && BatchDecodeEnabled();
+  const bool fast_pfor = entry.codec == CodecKind::kPfor;
   auto block = std::make_shared<IrrPartitionBlock>();
 
   // IL^p: inverted lists, kept unrestricted (queries budget-slice them).
@@ -605,8 +598,6 @@ KeywordCache::DecodeIrrPartition(const IrrKeywordEntry& entry,
   for (uint32_t i = 0; i < info.num_users; ++i) {
     uint32_t v = 0;
     uint64_t len = 0;
-    // The unrolled varint readers belong to the batch-kernel ablation arm
-    // (scalar mode stays the faithful PR-1 framing).
     p = fast_pfor ? FastVarint32(p, limit, &v) : GetVarint32(p, limit, &v);
     if (p == nullptr) return Status::Corruption("IRR IL truncated");
     p = fast_pfor ? FastVarint64(p, limit, &len)
@@ -660,9 +651,6 @@ KeywordCache::DecodeIrrPartition(const IrrKeywordEntry& entry,
   }
   block->ir_codec = entry.codec;
   block->ir_raw.assign(ir_begin, static_cast<size_t>(p - ir_begin));
-  if (options_.eager_ir_members) {
-    KBTIM_RETURN_IF_ERROR(block->EnsureMembers());
-  }
 
   // Charge the decoded-member footprint up front (from the peeked counts)
   // whether or not it has materialized yet, so cache residency never
@@ -688,115 +676,66 @@ Status KeywordCache::EnsureRrEntryLocked(TopicId topic,
   RrKeywordEntry entry;
   entry.topic = topic;
   KBTIM_ASSIGN_OR_RETURN(entry.rr_file,
-                         RandomAccessFile::Open(path, options_.use_mmap));
-  KBTIM_ASSIGN_OR_RETURN(
-      entry.lists_file,
-      RandomAccessFile::Open(ListsFileName(dir_, topic), options_.use_mmap));
+                         RandomAccessFile::Open(path, /*prefer_mmap=*/true));
+  KBTIM_ASSIGN_OR_RETURN(entry.lists_file,
+                         RandomAccessFile::Open(ListsFileName(dir_, topic),
+                                                /*prefer_mmap=*/true));
   ++stats_.preamble_loads;
+  KBTIM_RETURN_IF_ERROR(LoadRrDirectoryLocked(&entry));
   *out = &rr_entries_.emplace(topic, std::move(entry)).first->second;
   return Status::OK();
 }
 
-Status KeywordCache::ExtendRrDirectoryLocked(RrKeywordEntry* entry,
-                                       uint64_t budget) {
+Status KeywordCache::LoadRrDirectoryLocked(RrKeywordEntry* entry) {
+  // The meta records the preamble length, so ONE read covers header +
+  // full offset directory + directory CRC + page-CRC table, all verified
+  // before anything is trusted; later budget growth needs no directory
+  // reads at all.
   const std::string& path = entry->rr_file->path();
-  if (entry->offsets.empty() && meta_.format_version >= kIndexFormatV2) {
-    // v2 first touch: the meta records the preamble length, so ONE read
-    // covers header + full offset directory + directory CRC + page-CRC
-    // table, all verified before anything is trusted. (Same logical read
-    // count as the v1 first touch; later budget growth needs no
-    // directory tail reads at all.)
-    const uint64_t preamble = meta_.topics[entry->topic].rr_preamble;
-    const uint64_t file_size = entry->rr_file->size();
-    if (preamble < kRrHeaderSizeV2 + 12 || preamble > file_size) {
-      return Status::Corruption("bad RR preamble length: " + path);
-    }
-    std::string scratch;
-    KBTIM_ASSIGN_OR_RETURN(std::string_view head,
-                           entry->rr_file->ReadOrCopy(0, preamble,
-                                                      &scratch));
-    if (std::memcmp(head.data(), kRrMagicV2, 4) != 0) {
-      return Status::Corruption("bad RR file magic: " + path);
-    }
-    KBTIM_RETURN_IF_ERROR(CheckCrcLocked(head.data(), 25,
-                                         LoadFixed32(head.data() + 25),
-                                         "RR header", path));
-    uint32_t file_topic = 0;
-    uint64_t num_pages = 0;
-    std::memcpy(&file_topic, head.data() + 4, 4);
-    std::memcpy(&entry->count, head.data() + 8, 8);
-    const auto file_codec = static_cast<CodecKind>(head[16]);
-    std::memcpy(&num_pages, head.data() + 17, 8);
-    if (file_topic != entry->topic || file_codec != meta_.codec) {
-      return Status::Corruption("RR file header mismatch: " + path);
-    }
-    const uint64_t dir_size = (entry->count + 1) * sizeof(uint64_t);
-    if (preamble !=
-        kRrHeaderSizeV2 + dir_size + 4 + num_pages * sizeof(uint32_t)) {
-      return Status::Corruption("RR preamble layout mismatch: " + path);
-    }
-    const char* dir = head.data() + kRrHeaderSizeV2;
-    KBTIM_RETURN_IF_ERROR(CheckCrcLocked(dir, dir_size,
-                                         LoadFixed32(dir + dir_size),
-                                         "RR directory", path));
-    if (budget > entry->count) {
-      return Status::Corruption("RR budget exceeds stored sets: " + path);
-    }
-    entry->checksummed = true;
-    entry->offsets.resize(entry->count + 1);
-    std::memcpy(entry->offsets.data(), dir, dir_size);
-    if (entry->offsets.front() != preamble ||
-        entry->offsets.back() != file_size ||
-        num_pages != (file_size - preamble + kRrCrcPageSize - 1) /
-                         kRrCrcPageSize) {
-      return Status::Corruption("RR directory out of bounds: " + path);
-    }
-    entry->page_crcs.resize(num_pages);
-    std::memcpy(entry->page_crcs.data(), dir + dir_size + 4,
-                num_pages * sizeof(uint32_t));
-    return Status::OK();
+  const uint64_t preamble = meta_.topics[entry->topic].rr_preamble;
+  const uint64_t file_size = entry->rr_file->size();
+  if (preamble < kRrHeaderSizeV2 + 12 || preamble > file_size) {
+    return Status::Corruption("bad RR preamble length: " + path);
   }
-  if (entry->offsets.empty()) {
-    // v1 first touch: header + the needed directory prefix in one read.
-    const uint64_t dir_prefix = (budget + 1) * sizeof(uint64_t);
-    std::string scratch;
-    KBTIM_ASSIGN_OR_RETURN(
-        std::string_view head,
-        entry->rr_file->ReadOrCopy(0, kRrHeaderSizeV1 + dir_prefix,
-                                   &scratch));
-    if (std::memcmp(head.data(), kRrMagicV1, 4) != 0) {
-      return Status::Corruption("bad RR file magic: " + path);
-    }
-    uint32_t file_topic = 0;
-    std::memcpy(&file_topic, head.data() + 4, 4);
-    std::memcpy(&entry->count, head.data() + 8, 8);
-    const auto file_codec = static_cast<CodecKind>(head[16]);
-    if (file_topic != entry->topic || file_codec != meta_.codec) {
-      return Status::Corruption("RR file header mismatch: " + path);
-    }
-    if (budget > entry->count) {
-      return Status::Corruption("RR budget exceeds stored sets: " + path);
-    }
-    entry->offsets.resize(budget + 1);
-    std::memcpy(entry->offsets.data(), head.data() + kRrHeaderSizeV1,
-                dir_prefix);
-    return Status::OK();
-  }
-  if (budget > entry->count) {
-    return Status::Corruption("RR budget exceeds stored sets: " + path);
-  }
-  if (entry->offsets.size() >= budget + 1) return Status::OK();
-  // v1: read only the missing directory tail (the v2 branch above loads
-  // the complete directory on first touch and never gets here).
-  const uint64_t have = entry->offsets.size();
-  const uint64_t need = budget + 1 - have;
   std::string scratch;
-  KBTIM_ASSIGN_OR_RETURN(
-      std::string_view tail,
-      entry->rr_file->ReadOrCopy(kRrHeaderSizeV1 + have * sizeof(uint64_t),
-                                 need * sizeof(uint64_t), &scratch));
-  entry->offsets.resize(budget + 1);
-  std::memcpy(entry->offsets.data() + have, tail.data(), tail.size());
+  KBTIM_ASSIGN_OR_RETURN(std::string_view head,
+                         entry->rr_file->ReadOrCopy(0, preamble, &scratch));
+  if (std::memcmp(head.data(), kRrMagicV2, 4) != 0) {
+    return Status::Corruption("bad RR file magic: " + path);
+  }
+  constexpr size_t kHeaderCrcAt = kRrHeaderSizeV2 - 4;
+  KBTIM_RETURN_IF_ERROR(CheckCrcLocked(head.data(), kHeaderCrcAt,
+                                       LoadFixed32(head.data() + kHeaderCrcAt),
+                                       "RR header", path));
+  uint32_t file_topic = 0;
+  uint64_t num_pages = 0;
+  std::memcpy(&file_topic, head.data() + 4, 4);
+  std::memcpy(&entry->count, head.data() + 8, 8);
+  const auto file_codec = static_cast<CodecKind>(head[16]);
+  std::memcpy(&num_pages, head.data() + 17, 8);
+  if (file_topic != entry->topic || file_codec != meta_.codec) {
+    return Status::Corruption("RR file header mismatch: " + path);
+  }
+  const uint64_t dir_size = (entry->count + 1) * sizeof(uint64_t);
+  if (preamble !=
+      kRrHeaderSizeV2 + dir_size + 4 + num_pages * sizeof(uint32_t)) {
+    return Status::Corruption("RR preamble layout mismatch: " + path);
+  }
+  const char* dir = head.data() + kRrHeaderSizeV2;
+  KBTIM_RETURN_IF_ERROR(CheckCrcLocked(dir, dir_size,
+                                       LoadFixed32(dir + dir_size),
+                                       "RR directory", path));
+  entry->offsets.resize(entry->count + 1);
+  std::memcpy(entry->offsets.data(), dir, dir_size);
+  if (entry->offsets.front() != preamble ||
+      entry->offsets.back() != file_size ||
+      num_pages !=
+          (file_size - preamble + kRrCrcPageSize - 1) / kRrCrcPageSize) {
+    return Status::Corruption("RR directory out of bounds: " + path);
+  }
+  entry->page_crcs.resize(num_pages);
+  std::memcpy(entry->page_crcs.data(), dir + dir_size + 4,
+              num_pages * sizeof(uint32_t));
   return Status::OK();
 }
 
@@ -815,12 +754,20 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
   if (min_budget == 0) {
     return Status::InvalidArgument("RR keyword budget must be positive");
   }
+  // A budget past θ_w is the caller's error, and must not reach the files:
+  // there it would read as corruption and invalidate a healthy topic.
+  const uint64_t theta = meta_.topics[topic].theta;
+  if (min_budget > theta) {
+    return Status::InvalidArgument(
+        "RR keyword budget " + std::to_string(min_budget) +
+        " exceeds theta_w " + std::to_string(theta) + " of topic " +
+        std::to_string(topic));
+  }
   const BlockKey key{topic, kRrBlockSlot};
   std::shared_ptr<RandomAccessFile> rr_file;
   std::shared_ptr<RandomAccessFile> lists_file;
   uint64_t epoch = 0;
   std::vector<uint64_t> offsets;  // local copy of entries [0, min_budget]
-  bool checksummed = false;
   std::vector<uint32_t> page_crcs;  // pages covering the payload prefix
   {
     MutexLock lock(&mu_);
@@ -842,7 +789,11 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
     // so a cold keyword never stalls warm queries on other topics.
     RrKeywordEntry* entry = nullptr;
     KBTIM_RETURN_IF_ERROR(EnsureRrEntryLocked(topic, &entry));
-    KBTIM_RETURN_IF_ERROR(ExtendRrDirectoryLocked(entry, min_budget));
+    if (min_budget > entry->count) {
+      // The file stores fewer sets than the meta's θ_w.
+      return Status::Corruption("RR budget exceeds stored sets: " +
+                                entry->rr_file->path());
+    }
     // Shared handle copies stay valid unlocked even if InvalidateTopic
     // erases the entry (and drops its references) mid-decode.
     rr_file = entry->rr_file;
@@ -850,61 +801,50 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
     epoch = EpochLocked(topic);
     offsets.assign(entry->offsets.begin(),
                    entry->offsets.begin() + min_budget + 1);
-    checksummed = entry->checksummed;
-    if (checksummed) {
-      const uint64_t prefix = offsets[min_budget] - offsets[0];
-      const uint64_t pages =
-          (prefix + kRrCrcPageSize - 1) / kRrCrcPageSize;
-      page_crcs.assign(entry->page_crcs.begin(),
-                       entry->page_crcs.begin() + pages);
-    }
+    const uint64_t prefix = offsets[min_budget] - offsets[0];
+    const uint64_t pages = (prefix + kRrCrcPageSize - 1) / kRrCrcPageSize;
+    page_crcs.assign(entry->page_crcs.begin(),
+                     entry->page_crcs.begin() + pages);
   }
 
   auto block = std::make_shared<RrKeywordBlock>();
   block->loaded_budget = min_budget;
 
-  // One contiguous read of the payload prefix. With checksums on, the
-  // read rounds up to the CRC page boundary (clamped to the payload end)
-  // so every touched page verifies against its stored CRC — still one
-  // logical read, so Table-6 I/O accounting is unchanged.
+  // One contiguous read of the payload prefix, rounded up to the CRC page
+  // boundary (clamped to the payload end) so every touched page verifies
+  // against its stored CRC — still one logical read, so Table-6 I/O
+  // accounting is unchanged.
   const uint64_t base = offsets[0];
   const uint64_t need_len = offsets[min_budget] - base;
-  uint64_t read_len = need_len;
-  if (checksummed) {
-    const uint64_t rounded =
-        (need_len + kRrCrcPageSize - 1) / kRrCrcPageSize * kRrCrcPageSize;
-    read_len = std::min<uint64_t>(rr_file->size() - base, rounded);
-  }
+  const uint64_t read_len = std::min<uint64_t>(
+      rr_file->size() - base,
+      (need_len + kRrCrcPageSize - 1) / kRrCrcPageSize * kRrCrcPageSize);
   std::string scratch;
   KBTIM_ASSIGN_OR_RETURN(std::string_view raw,
                          rr_file->ReadOrCopy(base, read_len, &scratch));
-  if (checksummed) {
-    uint64_t bad_page = page_crcs.size();
-    for (uint64_t i = 0; i < page_crcs.size(); ++i) {
-      const uint64_t begin = i * kRrCrcPageSize;
-      const uint64_t end = std::min<uint64_t>(read_len,
-                                              begin + kRrCrcPageSize);
-      if (crc32c::Unmask(page_crcs[i]) !=
-          crc32c::Value(raw.data() + begin, end - begin)) {
-        bad_page = i;
-        break;
-      }
+  uint64_t bad_page = page_crcs.size();
+  for (uint64_t i = 0; i < page_crcs.size(); ++i) {
+    const uint64_t begin = i * kRrCrcPageSize;
+    const uint64_t end = std::min<uint64_t>(read_len, begin + kRrCrcPageSize);
+    if (crc32c::Unmask(page_crcs[i]) !=
+        crc32c::Value(raw.data() + begin, end - begin)) {
+      bad_page = i;
+      break;
     }
-    {
-      MutexLock lock(&mu_);
-      stats_.crc_checks +=
-          bad_page < page_crcs.size() ? bad_page + 1 : page_crcs.size();
-      if (bad_page < page_crcs.size()) ++stats_.crc_failures;
-    }
-    if (bad_page < page_crcs.size()) {
-      return Status::Corruption("RR payload page checksum mismatch: " +
-                                rr_file->path());
-    }
+  }
+  {
+    MutexLock lock(&mu_);
+    stats_.crc_checks +=
+        bad_page < page_crcs.size() ? bad_page + 1 : page_crcs.size();
+    if (bad_page < page_crcs.size()) ++stats_.crc_failures;
+  }
+  if (bad_page < page_crcs.size()) {
+    return Status::Corruption("RR payload page checksum mismatch: " +
+                              rr_file->path());
   }
   const std::string_view payload = raw.substr(0, need_len);
   const auto codec = MakeCodec(meta_.codec);
-  const bool fast_pfor =
-      meta_.codec == CodecKind::kPfor && BatchDecodeEnabled();
+  const bool fast_pfor = meta_.codec == CodecKind::kPfor;
   const char* payload_limit = payload.data() + payload.size();
   std::vector<uint32_t> members;
   size_t n = 0;
@@ -924,24 +864,19 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
   KBTIM_ASSIGN_OR_RETURN(
       std::string_view buf,
       lists_file->ReadOrCopy(0, lists_file->size(), &lists_scratch));
-  const uint64_t lists_header =
-      checksummed ? kListsHeaderSizeV2 : kListsHeaderSizeV1;
-  if (buf.size() < lists_header ||
-      std::memcmp(buf.data(), checksummed ? kListsMagicV2 : kListsMagicV1,
-                  4) != 0) {
+  if (buf.size() < kListsHeaderSizeV2 ||
+      std::memcmp(buf.data(), kListsMagicV2, 4) != 0) {
     return Status::Corruption("bad lists file magic: " + lists_path);
   }
-  if (checksummed) {
-    // Header CRC covers the payload CRC field; the file is read whole,
-    // so one payload CRC covers everything after the header.
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 21,
-                                   LoadFixed32(buf.data() + 21),
-                                   "lists header", lists_path));
-    KBTIM_RETURN_IF_ERROR(
-        CheckCrc(buf.data() + lists_header, buf.size() - lists_header,
-                 LoadFixed32(buf.data() + 17), "lists payload",
-                 lists_path));
-  }
+  // Header CRC covers the payload CRC field; the file is read whole, so
+  // one payload CRC covers everything after the header.
+  constexpr size_t kHeaderCrcAt = kListsHeaderSizeV2 - 4;
+  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), kHeaderCrcAt,
+                                 LoadFixed32(buf.data() + kHeaderCrcAt),
+                                 "lists header", lists_path));
+  KBTIM_RETURN_IF_ERROR(CheckCrc(
+      buf.data() + kListsHeaderSizeV2, buf.size() - kListsHeaderSizeV2,
+      LoadFixed32(buf.data() + 17), "lists payload", lists_path));
   uint32_t file_topic = 0;
   uint64_t num_entries = 0;
   std::memcpy(&file_topic, buf.data() + 4, 4);
@@ -950,7 +885,7 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
   if (file_topic != topic || file_codec != meta_.codec) {
     return Status::Corruption("lists file header mismatch: " + lists_path);
   }
-  const char* p = buf.data() + lists_header;
+  const char* p = buf.data() + kListsHeaderSizeV2;
   const char* limit = buf.data() + buf.size();
   VertexId prev = 0;
   std::vector<uint32_t> ids;

@@ -30,11 +30,14 @@
 //     partitions' I/O (IrrIndex keeps a prefetch_depth-wide window in
 //     flight per keyword). A foreground GetIrrPartition that finds its
 //     block in flight waits on that decode instead of duplicating it.
-//   * use_mmap — map index files read-only so preamble and partition
-//     parses are zero-copy (RandomAccessFile::ReadView). Logical reads
-//     are still counted by IoCounter either way, so Table-6 style
-//     benchmarks keep measuring the logical access pattern — including
-//     reads issued by the prefetch workers.
+//
+// Index files are mapped read-only, so preamble and partition parses are
+// zero-copy (RandomAccessFile::ReadView; a file that cannot be mapped is
+// read with pread). Every read is CRC-verified against the checksums the
+// format stores before anything decodes or caches it. Logical reads are
+// counted by IoCounter either way, so Table-6 style benchmarks keep
+// measuring the logical access pattern — including reads issued by the
+// prefetch workers.
 //
 // Thread safety: all public methods are safe to call concurrently; blocks
 // are returned as shared_ptr<const ...> so eviction never invalidates a
@@ -70,18 +73,9 @@ struct KeywordCacheOptions {
   /// LRU bound on decoded block bytes (0 disables block caching).
   uint64_t block_cache_bytes = uint64_t{256} << 20;
 
-  /// Map index files for zero-copy parses; falls back to pread copies.
-  bool use_mmap = true;
-
   /// Admission policy: blocks larger than this fraction of
   /// block_cache_bytes are served but not cached.
   double max_block_fraction = 1.0;
-
-  /// Decode IR^p set members at partition-load time instead of on first
-  /// eager-mode access. The lazy default roughly halves cold-query decode
-  /// work for the (default) lazy NRA mode; benchmarks pin this on to
-  /// reproduce the PR-1 cost profile as the ablation baseline.
-  bool eager_ir_members = false;
 
   /// Background IRR-partition decode workers (0 disables prefetching).
   uint32_t prefetch_threads = 2;
@@ -114,6 +108,11 @@ struct KeywordCacheStats {
   /// Foreground lookups served by waiting on an in-flight prefetch
   /// (counted as misses too: the block was not resident).
   uint64_t prefetches_served = 0;
+  /// Foreground hits on a block a prefetch decoded and admitted, counted
+  /// on the block's first hit only (and not at all when a lookup already
+  /// joined that prefetch in flight). prefetches_served + prefetch_hits
+  /// over prefetches_issued is the share of prefetches queries used.
+  uint64_t prefetch_hits = 0;
   /// kIOError statuses surfaced by reads (transient: handles are dropped
   /// and reopened on next access, cached blocks survive).
   uint64_t io_errors = 0;
@@ -127,8 +126,7 @@ struct KeywordCacheStats {
   uint64_t prefetch_failures = 0;
   /// InvalidateTopic calls (explicit or corruption-triggered).
   uint64_t topic_invalidations = 0;
-  /// CRC32C verifications performed before decode/admission (v2 indexes
-  /// only; a v1 directory serves with checksums off and never bumps this).
+  /// CRC32C verifications performed before decode/admission.
   uint64_t crc_checks = 0;
   /// CRC mismatches detected. Each one surfaces as kCorruption and so
   /// also shows up in decode_failures + topic_invalidations — this
@@ -147,8 +145,6 @@ struct IrrKeywordEntry {
   uint64_t num_users = 0;
   uint64_t num_partitions = 0;
   uint64_t theta_w = 0;
-  /// v2 file: partition reads are CRC-verified before decode.
-  bool checksummed = false;
   std::vector<IrrPartitionInfo> directory;
 
   /// IP_w as flat sorted arrays: ip_vertex ascending, ip_first aligned.
@@ -188,8 +184,7 @@ struct IrrPartitionBlock {
   /// Framing was validated when the block was built; payload-level
   /// corruption fails the region closed (every span empty) and is
   /// reported here. Eager-mode queries call this at partition load so
-  /// corruption still fails the query loudly, exactly as the pre-lazy
-  /// code did.
+  /// corruption fails the query loudly.
   Status EnsureMembers() const;
 
   /// Members of set_ids[s], decoding IR^p on first use (corruption
@@ -280,7 +275,8 @@ class KeywordCache {
   void WaitForPrefetches() EXCLUDES(mu_);
 
   /// Decoded R_w prefix + inverted lists of `topic` covering at least
-  /// `min_budget` RR sets.
+  /// `min_budget` RR sets. A budget above the topic's θ_w in the meta is
+  /// the caller's error (kInvalidArgument), not a fault of the files.
   StatusOr<std::shared_ptr<const RrKeywordBlock>> GetRrKeyword(
       TopicId topic, uint64_t min_budget) EXCLUDES(mu_);
 
@@ -314,8 +310,8 @@ class KeywordCache {
   void InvalidateTopic(TopicId topic) EXCLUDES(mu_);
 
  private:
-  /// Mutable per-topic RR state: file handles plus the offset-directory
-  /// prefix read so far (extended on demand, never shrunk). Handles are
+  /// Per-topic RR state: file handles plus the verified offset directory
+  /// and payload page CRCs, loaded once on first touch. Handles are
   /// shared_ptr so InvalidateTopic can drop the entry while a reader that
   /// copied them out under the lock keeps reading safely.
   struct RrKeywordEntry {
@@ -323,10 +319,9 @@ class KeywordCache {
     std::shared_ptr<RandomAccessFile> rr_file;
     std::shared_ptr<RandomAccessFile> lists_file;
     uint64_t count = 0;  // θ_w stored in the file
-    std::vector<uint64_t> offsets;  // directory prefix, offsets[0..n]
-    /// v2 file: payload reads verify against page_crcs before decode.
-    bool checksummed = false;
-    /// Masked per-page payload CRCs (v2; loaded with the directory).
+    std::vector<uint64_t> offsets;  // offsets[0..count]
+    /// Masked per-page payload CRCs; payload reads verify against them
+    /// before decode.
     std::vector<uint32_t> page_crcs;
   };
 
@@ -349,10 +344,18 @@ class KeywordCache {
     std::shared_ptr<const void> block;
     uint64_t bytes = 0;
     std::list<BlockKey>::iterator lru_pos;
+    /// Admitted by a prefetch that no lookup joined; cleared, and counted
+    /// in prefetch_hits, by the first foreground hit.
+    bool prefetched = false;
   };
 
   using IrrBlockFuture =
       std::shared_future<StatusOr<std::shared_ptr<const IrrPartitionBlock>>>;
+  struct InflightDecode {
+    IrrBlockFuture future;
+    /// A foreground lookup waited on this decode (prefetches_served).
+    bool joined = false;
+  };
 
   KeywordCache(std::string dir, IndexMeta meta, KeywordCacheOptions options)
       : dir_(std::move(dir)), meta_(std::move(meta)), options_(options) {
@@ -379,11 +382,11 @@ class KeywordCache {
   std::shared_ptr<const void> InsertBlockIfFresh(
       const BlockKey& key, std::shared_ptr<const void> block,
       uint64_t bytes, uint64_t epoch) EXCLUDES(mu_);
-  /// Evicts to fit, then records the block under `key`. mu_ must be held
-  /// and `key` must not be present.
-  void InsertBlockLocked(const BlockKey& key,
-                         std::shared_ptr<const void> block, uint64_t bytes)
-      REQUIRES(mu_);
+  /// Evicts to fit, then records the block under `key` and returns its
+  /// slot. mu_ must be held and `key` must not be present.
+  BlockSlot& InsertBlockLocked(const BlockKey& key,
+                               std::shared_ptr<const void> block,
+                               uint64_t bytes) REQUIRES(mu_);
   /// Removes `key`'s block (if present), fixing byte accounting. mu_ held.
   void EraseBlockLocked(const BlockKey& key) REQUIRES(mu_);
   void TouchLocked(BlockSlot& slot) REQUIRES(mu_);
@@ -415,13 +418,13 @@ class KeywordCache {
   /// foreground misses and on the prefetch pool.
   StatusOr<std::shared_ptr<const IrrPartitionBlock>> DecodeIrrPartition(
       const IrrKeywordEntry& entry, uint64_t partition) EXCLUDES(mu_);
+  /// Finds or opens `topic`'s RR entry. Opening reads and verifies the
+  /// preamble (header + offset directory + page CRCs) while mu_ stays
+  /// held — a deliberate design choice: it is one read, once per topic.
   Status EnsureRrEntryLocked(TopicId topic, RrKeywordEntry** entry)
       REQUIRES(mu_);
-  /// Extends the directory prefix; does file I/O while mu_ stays held (a
-  /// deliberate design choice: the directory read is one small pread and
-  /// extending is rare once warm).
-  Status ExtendRrDirectoryLocked(RrKeywordEntry* entry, uint64_t budget)
-      REQUIRES(mu_);
+  /// The preamble read + verify of EnsureRrEntryLocked.
+  Status LoadRrDirectoryLocked(RrKeywordEntry* entry) REQUIRES(mu_);
   /// GetRrKeyword body; the public wrapper records failures.
   StatusOr<std::shared_ptr<const RrKeywordBlock>> GetRrKeywordImpl(
       TopicId topic, uint64_t min_budget) EXCLUDES(mu_);
@@ -440,7 +443,7 @@ class KeywordCache {
   /// Prefetches in flight: lets foreground misses join a background
   /// decode instead of duplicating it. Erased (under mu_, after the block
   /// landed in blocks_) by the task itself.
-  std::unordered_map<BlockKey, IrrBlockFuture, BlockKeyHash> inflight_
+  std::unordered_map<BlockKey, InflightDecode, BlockKeyHash> inflight_
       GUARDED_BY(mu_);
   /// Partitions the admission policy refused: prefetching them again
   /// would decode into the void every round, so the window skips them.

@@ -32,10 +32,9 @@ class RrSampler {
 
 /// Process-wide switch between the skip-ahead kernels (geometric IC
 /// skipping + alias-table LT steps) and the scalar per-edge fallbacks.
-/// Mirrors SetBatchDecodeEnabled: defaults to skip-ahead; flip for
-/// ablation runs. Thread-safe (relaxed atomic). Both settings sample the
-/// exact same RR-set distribution, but — unlike the decode switch — the
-/// IC kernels consume the RNG stream differently, so a fixed seed draws
+/// Defaults to skip-ahead; flip for ablation runs. Thread-safe (relaxed
+/// atomic). Both settings sample the exact same RR-set distribution, but
+/// the IC kernels consume the RNG stream differently, so a fixed seed draws
 /// DIFFERENT (identically distributed) sets under each setting: pin one
 /// setting when comparing golden seed sets. The LT kernels consume one
 /// draw per walk step under both settings and coincide exactly whenever a

@@ -237,10 +237,19 @@ std::future<StatusOr<RrFetchResult>> QueryService::SubmitFetch(
     invalid = Status::FailedPrecondition(
         "index directory has no RR structures: " + cache_->dir());
   } else {
-    for (TopicId topic : pending.fetch.topics) {
+    for (size_t i = 0; i < pending.fetch.topics.size(); ++i) {
+      const TopicId topic = pending.fetch.topics[i];
       if (topic >= meta().num_topics) {
         invalid = Status::InvalidArgument(
             "fetch topic " + std::to_string(topic) + " out of range");
+        break;
+      }
+      const uint64_t theta = meta().topics[topic].theta;
+      if (pending.fetch.budgets[i] > theta) {
+        invalid = Status::InvalidArgument(
+            "fetch budget " + std::to_string(pending.fetch.budgets[i]) +
+            " exceeds theta_w " + std::to_string(theta) + " of topic " +
+            std::to_string(topic));
         break;
       }
     }

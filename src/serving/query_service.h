@@ -318,7 +318,9 @@ class QueryService {
   /// Enqueues an RR-block fetch (the network scatter-gather unit; see
   /// RrFetchRequest). Rides the fast lane with the same admission
   /// control, deadline shedding and per-keyword breaker screening as a
-  /// query, but returns the raw blocks instead of running the greedy.
+  /// query, but returns the raw blocks instead of running the greedy. A
+  /// topic out of range or a budget above its θ_w fails the whole fetch
+  /// with kInvalidArgument before it is queued.
   std::future<StatusOr<RrFetchResult>> SubmitFetch(RrFetchRequest request)
       EXCLUDES(mu_, stats_mu_);
 

@@ -1,7 +1,5 @@
 #include "storage/bitpacking.h"
 
-#include "storage/decode_kernels.h"
-
 namespace kbtim {
 
 size_t BitPackedSize(size_t n, uint32_t bits) {
@@ -25,33 +23,6 @@ void BitPack(const uint32_t* values, size_t n, uint32_t bits,
     }
   }
   if (filled > 0) out->push_back(static_cast<char>(buffer & 0xFF));
-}
-
-size_t BitUnpack(const char* p, size_t avail, size_t n, uint32_t bits,
-                 uint32_t* out) {
-  if (BatchDecodeEnabled()) return BitUnpackBatch(p, avail, n, bits, out);
-  if (bits == 0) {
-    for (size_t i = 0; i < n; ++i) out[i] = 0;
-    return 0;
-  }
-  const size_t need = BitPackedSize(n, bits);
-  if (avail < need) return 0;
-  const uint32_t mask =
-      bits >= 32 ? ~uint32_t{0} : ((uint32_t{1} << bits) - 1);
-  uint64_t buffer = 0;
-  uint32_t filled = 0;
-  size_t consumed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    while (filled < bits) {
-      buffer |= static_cast<uint64_t>(static_cast<uint8_t>(p[consumed++]))
-                << filled;
-      filled += 8;
-    }
-    out[i] = static_cast<uint32_t>(buffer) & mask;
-    buffer >>= bits;
-    filled -= bits;
-  }
-  return need;
 }
 
 }  // namespace kbtim

@@ -19,7 +19,8 @@ void BitPack(const uint32_t* values, size_t n, uint32_t bits,
 
 /// Unpacks n values of `bits` bits from p (with `avail` readable bytes)
 /// into out. Returns the number of bytes consumed, or 0 if `avail` is too
-/// small.
+/// small. Requires bits <= 32. Defined with the other batch decode
+/// kernels in storage/decode_kernels.cc.
 size_t BitUnpack(const char* p, size_t avail, size_t n, uint32_t bits,
                  uint32_t* out);
 

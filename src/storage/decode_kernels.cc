@@ -1,6 +1,5 @@
 #include "storage/decode_kernels.h"
 
-#include <atomic>
 #include <cstring>
 
 #include "storage/bitpacking.h"
@@ -8,8 +7,6 @@
 
 namespace kbtim {
 namespace {
-
-std::atomic<bool> g_batch_decode{true};
 
 inline uint64_t Load64(const char* p) {
   uint64_t v;
@@ -23,8 +20,8 @@ inline uint32_t Load32(const char* p) {
   return v;
 }
 
-/// Scalar shift-register unpack, identical to the pre-batch BitUnpack body
-/// (kept as the fallback and as the tail path of the batch kernel).
+/// Scalar shift-register unpack from bit `start_bit`: the tail path of
+/// BitUnpack, which never loads past the packed bytes.
 void UnpackScalar(const char* p, size_t n, uint32_t bits, uint32_t mask,
                   uint64_t start_bit, uint32_t* out) {
   const char* q = p + (start_bit >> 3);
@@ -49,16 +46,8 @@ void UnpackScalar(const char* p, size_t n, uint32_t bits, uint32_t mask,
 
 }  // namespace
 
-void SetBatchDecodeEnabled(bool enabled) {
-  g_batch_decode.store(enabled, std::memory_order_relaxed);
-}
-
-bool BatchDecodeEnabled() {
-  return g_batch_decode.load(std::memory_order_relaxed);
-}
-
-size_t BitUnpackBatch(const char* p, size_t avail, size_t n, uint32_t bits,
-                      uint32_t* out) {
+size_t BitUnpack(const char* p, size_t avail, size_t n, uint32_t bits,
+                 uint32_t* out) {
   if (bits == 0) {
     std::memset(out, 0, n * sizeof(uint32_t));
     return 0;
@@ -185,8 +174,8 @@ namespace {
 
 constexpr uint32_t kLenMask[5] = {0, 0xFFu, 0xFFFFu, 0xFFFFFFu, 0xFFFFFFFFu};
 
-/// Scalar group decode: byte-accumulates each lane; never reads past the
-/// exact payload bytes, so it doubles as the tail path.
+/// Scalar group decode: byte-accumulates each lane and never reads past
+/// the exact payload bytes — the fast kernel's tail.
 const char* GroupDecodeScalar(const char* p, const char* limit, size_t count,
                               uint32_t* out) {
   size_t produced = 0;
@@ -213,7 +202,6 @@ const char* GroupDecodeScalar(const char* p, const char* limit, size_t count,
 
 const char* GroupVarintDecode(const char* p, const char* limit, size_t count,
                               uint32_t* out) {
-  if (!BatchDecodeEnabled()) return GroupDecodeScalar(p, limit, count, out);
   // Fast path: a full group needs at most 1 + 16 payload bytes; each lane
   // decodes with one unaligned 32-bit load + mask. Stop before any load
   // could cross `limit` and finish with the exact scalar decoder.

@@ -5,16 +5,17 @@
 // between the disk read and the NRA loop, so they gate end-to-end latency.
 // These kernels dispatch ONCE per block and then run branch-free inner
 // loops over whole groups:
-//   * BitUnpackBatch — fixed-width unpack via unaligned 64-bit loads, one
-//     load+shift+mask per value (unrolled, auto-vectorizable), with byte-
-//     granular specializations for widths 8/16/32;
+//   * BitUnpack (declared in storage/bitpacking.h) — fixed-width unpack
+//     via unaligned 64-bit loads, one load+shift+mask per value (unrolled,
+//     auto-vectorizable), with byte-granular specializations for widths
+//     8/16/32;
 //   * GroupVarintEncode/Decode — Google-style group varint: one control
 //     byte per 4 values (2 bits each = byte length - 1) followed by the
 //     1-4 byte little-endian payloads, decoded with a masked 32-bit load
 //     per value instead of a byte loop.
-// Every kernel has a scalar fallback with identical output; the global
-// batch switch exists so benchmarks can ablate batch vs scalar on the
-// same binary (BENCH_pipeline.json) and tests can assert equivalence.
+// A byte-wise loop finishes each kernel's tail, where a wide load could
+// cross the end of the buffer. tests/testing/scalar_decode.h keeps the
+// byte-at-a-time forms as the oracle the tests hold these kernels to.
 #ifndef KBTIM_STORAGE_DECODE_KERNELS_H_
 #define KBTIM_STORAGE_DECODE_KERNELS_H_
 
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/bitpacking.h"
 #include "storage/varint.h"
 
 namespace kbtim {
@@ -78,19 +80,6 @@ inline const char* FastVarint64(const char* p, const char* limit,
   return GetVarint64(p, limit, v);
 }
 
-/// Process-wide switch between the batch kernels and the scalar fallbacks.
-/// Defaults to batch; flip for ablation runs. Thread-safe (relaxed atomic);
-/// both settings produce bit-identical decodes.
-void SetBatchDecodeEnabled(bool enabled);
-bool BatchDecodeEnabled();
-
-/// Fixed-width unpack of n values of `bits` bits (little-endian bit order,
-/// same layout as BitPack). Returns bytes consumed, or 0 if `avail` is too
-/// small. Requires bits <= 32. This is the batch kernel; callers normally
-/// go through BitUnpack, which dispatches on BatchDecodeEnabled().
-size_t BitUnpackBatch(const char* p, size_t avail, size_t n, uint32_t bits,
-                      uint32_t* out);
-
 /// Appends the group-varint encoding of `values` to *out: full groups of 4
 /// as control byte + payloads, then a final partial group (same control
 /// byte layout, unused lanes encode nothing). Self-delimiting only
@@ -99,8 +88,8 @@ void GroupVarintEncode(std::span<const uint32_t> values, std::string* out);
 
 /// Decodes `count` group-varint values from [p, limit) into out. Returns
 /// the pointer just past the last payload byte, or nullptr on truncation.
-/// Dispatches between the masked-load fast path and the scalar fallback
-/// on BatchDecodeEnabled().
+/// Full groups take the masked-load fast path while 20 readable bytes
+/// remain; the exact byte-wise decoder finishes the rest.
 const char* GroupVarintDecode(const char* p, const char* limit,
                               size_t count, uint32_t* out);
 
@@ -182,7 +171,7 @@ inline const char* PforDecodeAppend(const char* p, const char* limit,
         }
         p += need;
       } else {
-        const size_t used = BitUnpackBatch(
+        const size_t used = BitUnpack(
             p, static_cast<size_t>(limit - p), len, bits, dst + produced);
         if (used == 0) break;
         p += used;

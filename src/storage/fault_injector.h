@@ -27,7 +27,7 @@
 //                   amplification; no error surfaced).
 //
 // Cost when disarmed: one relaxed atomic load per logical op — the same
-// global-toggle idiom as SetBatchDecodeEnabled / SetSkipSamplingEnabled.
+// global-toggle idiom as SetSkipSamplingEnabled.
 // Arm()/Disarm() are test/bench entry points; production code never arms.
 #ifndef KBTIM_STORAGE_FAULT_INJECTOR_H_
 #define KBTIM_STORAGE_FAULT_INJECTOR_H_

@@ -70,15 +70,16 @@ uint32_t ChooseWidth(std::span<const uint32_t> block) {
   for (uint32_t v : block) ++width_count[BitWidth(v)];
   uint32_t best_bits = 32;
   size_t best_cost = BitPackedSize(block.size(), 32);
+  // Values wider than b bits, kept as a running suffix sum over b.
+  size_t exceptions = block.size() - width_count[0];
   for (uint32_t b = 0; b <= 32; ++b) {
-    size_t exceptions = 0;
-    for (uint32_t w = b + 1; w <= 32; ++w) exceptions += width_count[w];
     // Rough exception cost: 1 byte position + 2 bytes overflow varint.
     const size_t cost = BitPackedSize(block.size(), b) + exceptions * 3;
     if (cost < best_cost) {
       best_cost = cost;
       best_bits = b;
     }
+    if (b < 32) exceptions -= width_count[b + 1];
   }
   return best_bits;
 }

@@ -1,14 +1,16 @@
-// Format-version compatibility: a v1 (pre-checksum) index built from the
-// same inputs as a v2 index serves byte-identical answers with identical
-// logical I/O — checksums change durability, never results or the
-// Table-6 read accounting. v-old files keep loading (warn-once,
-// checksums=off) and the verifier reports their version instead of
-// failing the checksum stage.
+// Format compatibility: version 2 is the only index format. A v2 index
+// serves RR and IRR answers that agree with every byte CRC-verified and
+// no extra logical reads; the verifier recomputes every stored CRC; a
+// tampered meta fails its checksum; and a meta of any other version is
+// refused by every reader with kCorruption that names the version and
+// asks for a rebuild — never served with its checksums unchecked.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "expr/workload.h"
 #include "index/index_builder.h"
@@ -17,22 +19,31 @@
 #include "index/irr_index.h"
 #include "index/keyword_cache.h"
 #include "index/rr_index.h"
+#include "storage/crc32c.h"
 #include "storage/io_counter.h"
 
 namespace kbtim {
 namespace {
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 class IndexFormatCompatTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = (std::filesystem::temp_directory_path() /
-             ("kbtim_fmt_compat_" + std::to_string(::getpid())))
-                .string();
-    v1_dir_ = root_ + "/v1";
-    v2_dir_ = root_ + "/v2";
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(v1_dir_);
-    std::filesystem::create_directories(v2_dir_);
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("kbtim_fmt_compat_" + std::to_string(::getpid())))
+               .string();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
 
     DatasetSpec spec;
     spec.name = "compat";
@@ -54,22 +65,12 @@ class IndexFormatCompatTest : public ::testing::Test {
     opts.seed = 53;
     opts.max_theta_per_keyword = 10000;
     opts.opt_estimate.pilot_initial = 256;
-
-    opts.format_version = kIndexFormatV1;
-    {
-      IndexBuilder builder(env_->graph(), env_->tfidf(),
-                           env_->weights(opts.model), opts);
-      ASSERT_TRUE(builder.Build(v1_dir_).ok());
-    }
-    opts.format_version = kIndexFormatV2;
-    {
-      IndexBuilder builder(env_->graph(), env_->tfidf(),
-                           env_->weights(opts.model), opts);
-      ASSERT_TRUE(builder.Build(v2_dir_).ok());
-    }
+    IndexBuilder builder(env_->graph(), env_->tfidf(),
+                         env_->weights(opts.model), opts);
+    ASSERT_TRUE(builder.Build(dir_).ok());
   }
 
-  void TearDown() override { std::filesystem::remove_all(root_); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   static void ExpectSameResult(const SeedSetResult& a,
                                const SeedSetResult& b) {
@@ -77,104 +78,80 @@ class IndexFormatCompatTest : public ::testing::Test {
     ASSERT_DOUBLE_EQ(a.estimated_influence, b.estimated_influence);
   }
 
-  std::string root_, v1_dir_, v2_dir_;
+  std::string dir_;
   std::unique_ptr<Environment> env_;
 };
 
 TEST_F(IndexFormatCompatTest, MetaReportsItsVersion) {
-  auto v1 = ReadIndexMeta(MetaFileName(v1_dir_));
-  auto v2 = ReadIndexMeta(MetaFileName(v2_dir_));
-  ASSERT_TRUE(v1.ok() && v2.ok());
-  EXPECT_EQ(v1->format_version, kIndexFormatV1);
-  EXPECT_EQ(v2->format_version, kIndexFormatV2);
-  // v2 metas carry the RR preamble per topic; v1 metas predate it.
-  for (const auto& tm : v1->topics) EXPECT_EQ(tm.rr_preamble, 0u);
-  for (const auto& tm : v2->topics) {
-    if (tm.theta > 0) EXPECT_GT(tm.rr_preamble, 0u);
+  auto meta = ReadIndexMeta(MetaFileName(dir_));
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  EXPECT_EQ(meta->format_version, kIndexFormatV2);
+  // The meta carries the RR preamble of every non-empty topic.
+  for (const auto& tm : meta->topics) {
+    if (tm.theta > 0) {
+      EXPECT_GT(tm.rr_preamble, 0u);
+    }
   }
 }
 
-TEST_F(IndexFormatCompatTest, SameSeedSameAnswersAcrossVersions) {
-  auto c1 = KeywordCache::Create(v1_dir_, {});
-  auto c2 = KeywordCache::Create(v2_dir_, {});
-  ASSERT_TRUE(c1.ok() && c2.ok());
-  auto irr1 = IrrIndex::Open(*c1);
-  auto irr2 = IrrIndex::Open(*c2);
-  auto rr1 = RrIndex::Open(*c1);
-  auto rr2 = RrIndex::Open(*c2);
-  ASSERT_TRUE(irr1.ok() && irr2.ok() && rr1.ok() && rr2.ok());
+TEST_F(IndexFormatCompatTest, VerifiedReadsServeAgreeingAnswers) {
+  auto cache = KeywordCache::Create(dir_, {});
+  ASSERT_TRUE(cache.ok()) << cache.status();
+  auto irr = IrrIndex::Open(*cache);
+  auto rr = RrIndex::Open(*cache);
+  ASSERT_TRUE(irr.ok() && rr.ok());
 
   for (const Query& q :
        {Query{{0}, 6}, Query{{1, 2}, 6}, Query{{0, 1, 2, 3}, 10}}) {
-    auto a = irr1->Query(q);
-    auto b = irr2->Query(q);
-    ASSERT_TRUE(a.ok() && b.ok());
+    auto a = irr->Query(q);
+    auto b = rr->Query(q);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
     ExpectSameResult(*a, *b);
-    auto c = rr1->Query(q);
-    auto d = rr2->Query(q);
-    ASSERT_TRUE(c.ok() && d.ok());
-    ExpectSameResult(*c, *d);
   }
-  // The v1 cache never checked a checksum; the v2 cache verified every
-  // byte it read — for free in logical-I/O terms (next test).
-  EXPECT_EQ((*c1)->stats().crc_checks, 0u);
-  EXPECT_GT((*c2)->stats().crc_checks, 0u);
-  EXPECT_EQ((*c2)->stats().crc_failures, 0u);
+  // Every byte either path read was checked against its stored CRC.
+  EXPECT_GT((*cache)->stats().crc_checks, 0u);
+  EXPECT_EQ((*cache)->stats().crc_failures, 0u);
 }
 
 TEST_F(IndexFormatCompatTest, ChecksumsAddNoLogicalReads) {
-  auto c1 = KeywordCache::Create(v1_dir_, {});
-  auto c2 = KeywordCache::Create(v2_dir_, {});
-  ASSERT_TRUE(c1.ok() && c2.ok());
-  auto irr1 = IrrIndex::Open(*c1);
-  auto irr2 = IrrIndex::Open(*c2);
-  ASSERT_TRUE(irr1.ok() && irr2.ok());
+  // Prefetch off, so every read below is a foreground one.
+  KeywordCacheOptions options;
+  options.prefetch_threads = 0;
+  auto cache = KeywordCache::Create(dir_, options);
+  ASSERT_TRUE(cache.ok()) << cache.status();
+  auto irr = IrrIndex::Open(*cache);
+  ASSERT_TRUE(irr.ok());
   const Query q{{0, 1}, 6};
 
-  // Each window closes with WaitForPrefetches so background reads land
-  // inside their own version's count instead of racing the snapshot.
-  const IoStats before1 = IoCounter::Snapshot();
-  ASSERT_TRUE(irr1->Query(q).ok());
-  (*c1)->WaitForPrefetches();
-  const IoStats cold1 = IoCounter::Snapshot() - before1;
+  // Verify-on-read hashes bytes already in memory: a cold query makes
+  // exactly one logical read per parsed preamble and per decoded
+  // partition, checksums included.
+  const IoStats before = IoCounter::Snapshot();
+  ASSERT_TRUE(irr->Query(q).ok());
+  const IoStats cold = IoCounter::Snapshot() - before;
+  const KeywordCacheStats stats = (*cache)->stats();
+  EXPECT_GT(stats.crc_checks, 0u);
+  EXPECT_EQ(cold.read_ops, stats.preamble_loads + stats.misses);
 
-  const IoStats before2 = IoCounter::Snapshot();
-  ASSERT_TRUE(irr2->Query(q).ok());
-  (*c2)->WaitForPrefetches();
-  const IoStats cold2 = IoCounter::Snapshot() - before2;
-
-  // Verify-on-read hashes bytes already in memory: the cold read-op
-  // count is identical across versions.
-  EXPECT_EQ(cold1.read_ops, cold2.read_ops);
-
-  // And the warm path is untouched: zero logical reads on repeat, both
-  // versions.
+  // And the warm path is untouched: zero logical reads on repeat.
   const IoStats wbefore = IoCounter::Snapshot();
-  ASSERT_TRUE(irr1->Query(q).ok());
-  ASSERT_TRUE(irr2->Query(q).ok());
-  const IoStats warm = IoCounter::Snapshot() - wbefore;
-  EXPECT_EQ(warm.read_ops, 0u);
+  ASSERT_TRUE(irr->Query(q).ok());
+  EXPECT_EQ((IoCounter::Snapshot() - wbefore).read_ops, 0u);
 }
 
-TEST_F(IndexFormatCompatTest, VerifierHandlesBothVersions) {
-  auto v1 = VerifyIndex(v1_dir_);
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  EXPECT_EQ(v1->format_version, kIndexFormatV1);
-  EXPECT_EQ(v1->checksums_verified, 0u);  // nothing stored to check
-
-  auto v2 = VerifyIndex(v2_dir_);
-  ASSERT_TRUE(v2.ok()) << v2.status();
-  EXPECT_EQ(v2->format_version, kIndexFormatV2);
-  EXPECT_GT(v2->checksums_verified, 0u);
-  // Same inputs, same structures — only the envelope differs.
-  EXPECT_EQ(v1->rr_sets_checked, v2->rr_sets_checked);
-  EXPECT_EQ(v1->inverted_entries_checked, v2->inverted_entries_checked);
-  EXPECT_EQ(v1->partitions_checked, v2->partitions_checked);
+TEST_F(IndexFormatCompatTest, VerifierChecksEveryStoredChecksum) {
+  auto verified = VerifyIndex(dir_);
+  ASSERT_TRUE(verified.ok()) << verified.status();
+  EXPECT_EQ(verified->format_version, kIndexFormatV2);
+  EXPECT_GT(verified->checksums_verified, 0u);
+  EXPECT_GT(verified->rr_sets_checked, 0u);
+  EXPECT_GT(verified->partitions_checked, 0u);
 }
 
 TEST_F(IndexFormatCompatTest, V2MetaChecksumCatchesTampering) {
-  // Flip one byte of the v2 meta: the whole-file CRC must refuse it.
-  const std::string meta_path = MetaFileName(v2_dir_);
+  // Flip one byte of the meta: the whole-file CRC must refuse it.
+  const std::string meta_path = MetaFileName(dir_);
   const auto size = std::filesystem::file_size(meta_path);
   {
     std::fstream f(meta_path,
@@ -190,6 +167,44 @@ TEST_F(IndexFormatCompatTest, V2MetaChecksumCatchesTampering) {
   auto meta = ReadIndexMeta(meta_path);
   ASSERT_FALSE(meta.ok());
   EXPECT_TRUE(meta.status().IsCorruption()) << meta.status();
+}
+
+TEST_F(IndexFormatCompatTest, OtherMetaVersionsAreRefusedWithRebuildMessage) {
+  const std::string meta_path = MetaFileName(dir_);
+  const std::string pristine = ReadFile(meta_path);
+  ASSERT_GT(pristine.size(), 12u);
+  for (const uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    // Rewrite the version field (bytes 4..7) and reseal the whole-file
+    // CRC, so the version check alone has to refuse the meta.
+    std::string patched = pristine;
+    std::memcpy(patched.data() + 4, &version, sizeof(version));
+    const uint32_t crc = crc32c::Mask(
+        crc32c::Value(patched.data(), patched.size() - sizeof(crc)));
+    std::memcpy(patched.data() + patched.size() - sizeof(crc), &crc,
+                sizeof(crc));
+    WriteFile(meta_path, patched);
+
+    auto meta = ReadIndexMeta(meta_path);
+    ASSERT_FALSE(meta.ok());
+    EXPECT_TRUE(meta.status().IsCorruption()) << meta.status();
+    const std::string message = meta.status().ToString();
+    EXPECT_NE(message.find("version " + std::to_string(version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("rebuild"), std::string::npos) << message;
+
+    auto cache = KeywordCache::Create(dir_, {});
+    ASSERT_FALSE(cache.ok());
+    EXPECT_TRUE(cache.status().IsCorruption()) << cache.status();
+
+    auto verified = VerifyIndex(dir_);
+    ASSERT_FALSE(verified.ok());
+    EXPECT_TRUE(verified.status().IsCorruption()) << verified.status();
+  }
+  // The untouched bytes still read: only the version was refused.
+  WriteFile(meta_path, pristine);
+  EXPECT_TRUE(ReadIndexMeta(meta_path).ok());
 }
 
 }  // namespace

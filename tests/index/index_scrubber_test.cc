@@ -1,8 +1,9 @@
 // Online scrubber: clean passes count every topic, latent corruption in
 // cold files is detected, quarantined (atomic rename to *.quarantine)
 // and healed by a deterministic single-topic rebuild to golden-equal
-// answers — including under live QueryService traffic — while open
-// breakers and pre-checksum (v1) indexes are skipped, never touched.
+// answers — on the cache's prefetch pool or inline when the cache has
+// none, and under live QueryService traffic — while topics behind an
+// open breaker are skipped, never touched.
 #include "index/index_scrubber.h"
 
 #include <gtest/gtest.h>
@@ -140,41 +141,48 @@ TEST_F(IndexScrubberTest, DetectsQuarantinesAndRebuildsToGoldenEqual) {
     golden_rr = std::move(*rb);
   }
 
-  // A latent flip deep in topic 0's RR payload — no query is running, so
-  // only the scrubber can find it.
-  FlipByte(RrFileName(dir_, 0), -64);
+  // Scrub units run on the cache's prefetch pool by default, and inline
+  // when the cache has no pool (prefetch_threads = 0).
+  for (const uint32_t prefetch_threads : {2u, 0u}) {
+    SCOPED_TRACE("prefetch_threads=" + std::to_string(prefetch_threads));
+    // A latent flip deep in topic 0's RR payload — no query is running,
+    // so only the scrubber can find it.
+    FlipByte(RrFileName(dir_, 0), -64);
 
-  auto cache = KeywordCache::Create(dir_, {});
-  ASSERT_TRUE(cache.ok());
-  IndexScrubberOptions sopts;
-  sopts.pace_ms = 0;
-  IndexScrubber scrubber(*cache, sopts);
-  scrubber.SetRebuilder(Rebuilder());
-  ASSERT_TRUE(scrubber.ScrubTopic(0).ok());  // detected AND healed
+    KeywordCacheOptions copts;
+    copts.prefetch_threads = prefetch_threads;
+    auto cache = KeywordCache::Create(dir_, copts);
+    ASSERT_TRUE(cache.ok());
+    IndexScrubberOptions sopts;
+    sopts.pace_ms = 0;
+    IndexScrubber scrubber(*cache, sopts);
+    scrubber.SetRebuilder(Rebuilder());
+    ASSERT_TRUE(scrubber.ScrubTopic(0).ok());  // detected AND healed
 
-  const IndexScrubberStats stats = scrubber.stats();
-  EXPECT_GE(stats.crc_failures, 1u);
-  EXPECT_EQ(stats.quarantines, 1u);
-  EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.rebuild_failures, 0u);
-  // Forensics: the corrupted bytes were renamed aside, not destroyed.
-  EXPECT_TRUE(
-      std::filesystem::exists(RrFileName(dir_, 0) + ".quarantine"));
+    const IndexScrubberStats stats = scrubber.stats();
+    EXPECT_GE(stats.crc_failures, 1u);
+    EXPECT_EQ(stats.quarantines, 1u);
+    EXPECT_EQ(stats.rebuilds, 1u);
+    EXPECT_EQ(stats.rebuild_failures, 0u);
+    // Forensics: the corrupted bytes were renamed aside, not destroyed.
+    EXPECT_TRUE(
+        std::filesystem::exists(RrFileName(dir_, 0) + ".quarantine"));
 
-  // The healed index is byte-for-byte verifiable and golden-equal
-  // through the SAME cache (the scrubber invalidated the topic).
-  auto verified = VerifyIndex(dir_);
-  ASSERT_TRUE(verified.ok()) << verified.status();
-  EXPECT_GE(verified->checksums_verified, 1u);
-  auto irr = IrrIndex::Open(*cache);
-  auto rr = RrIndex::Open(*cache);
-  ASSERT_TRUE(irr.ok() && rr.ok());
-  auto healed_irr = irr->Query(q);
-  auto healed_rr = rr->Query(q);
-  ASSERT_TRUE(healed_irr.ok()) << healed_irr.status();
-  ASSERT_TRUE(healed_rr.ok()) << healed_rr.status();
-  ExpectSameResult(golden_irr, *healed_irr);
-  ExpectSameResult(golden_rr, *healed_rr);
+    // The healed index is byte-for-byte verifiable and golden-equal
+    // through the SAME cache (the scrubber invalidated the topic).
+    auto verified = VerifyIndex(dir_);
+    ASSERT_TRUE(verified.ok()) << verified.status();
+    EXPECT_GE(verified->checksums_verified, 1u);
+    auto irr = IrrIndex::Open(*cache);
+    auto rr = RrIndex::Open(*cache);
+    ASSERT_TRUE(irr.ok() && rr.ok());
+    auto healed_irr = irr->Query(q);
+    auto healed_rr = rr->Query(q);
+    ASSERT_TRUE(healed_irr.ok()) << healed_irr.status();
+    ASSERT_TRUE(healed_rr.ok()) << healed_rr.status();
+    ExpectSameResult(golden_irr, *healed_irr);
+    ExpectSameResult(golden_rr, *healed_rr);
+  }
 }
 
 TEST_F(IndexScrubberTest, RepairOffDetectsAndReportsOnly) {
@@ -212,27 +220,6 @@ TEST_F(IndexScrubberTest, OpenBreakerSkipsTopicUntouched) {
   EXPECT_TRUE(std::filesystem::exists(IrrFileName(dir_, 0)));
   EXPECT_FALSE(
       std::filesystem::exists(IrrFileName(dir_, 0) + ".quarantine"));
-}
-
-TEST_F(IndexScrubberTest, V1IndexIsSkippedNotFailed) {
-  std::filesystem::remove_all(dir_);
-  std::filesystem::create_directories(dir_);
-  IndexBuildOptions v1 = opts_;
-  v1.format_version = kIndexFormatV1;
-  IndexBuilder builder(env_->graph(), env_->tfidf(),
-                       env_->weights(v1.model), v1);
-  ASSERT_TRUE(builder.Build(dir_).ok());
-
-  auto cache = KeywordCache::Create(dir_, {});
-  ASSERT_TRUE(cache.ok());
-  IndexScrubberOptions sopts;
-  sopts.pace_ms = 0;
-  IndexScrubber scrubber(*cache, sopts);
-  ASSERT_TRUE(scrubber.ScrubPass().ok());
-  const IndexScrubberStats stats = scrubber.stats();
-  EXPECT_EQ(stats.topics_skipped_unversioned, (*cache)->meta().num_topics);
-  EXPECT_EQ(stats.blocks_scrubbed, 0u);
-  EXPECT_EQ(stats.topics_scrubbed, 0u);
 }
 
 // The headline robustness scenario: a latent flip in a topic no query is

@@ -410,6 +410,17 @@ TEST_F(KeywordCacheTest, PrefetchedBlocksAreDeterministic) {
   }
   // Prefetched blocks were resident: lookups above were hits, not misses.
   EXPECT_EQ(prefetched->stats().misses, 0u);
+
+  // Each prefetched block counts one prefetch hit, on its first lookup
+  // only: a second pass of lookups leaves the count where it was.
+  const uint64_t partitions = (*entry_a)->num_partitions;
+  EXPECT_EQ(prefetched->stats().prefetches_issued, partitions);
+  EXPECT_EQ(prefetched->stats().prefetch_hits, partitions);
+  for (uint64_t p = 0; p < partitions; ++p) {
+    ASSERT_TRUE(prefetched->GetIrrPartition(**entry_a, p).ok());
+  }
+  EXPECT_EQ(prefetched->stats().prefetch_hits, partitions);
+  EXPECT_EQ(direct->stats().prefetch_hits, 0u);
 }
 
 TEST_F(KeywordCacheTest, AdmissionPolicySkipsOversizedBlocks) {

@@ -1,9 +1,9 @@
 // Golden determinism: one fixed seed must produce the IDENTICAL seed set
 // end-to-end no matter how the work is scheduled — WRIS solver thread
 // counts {1, 2, 8} (per-RR-set RNG streams make sampling partition-
-// invariant), eager vs. lazy IR^p member decode, warm vs. cold keyword
-// cache, prefetch on/off, and across index handles. Concurrency must only
-// ever change WHEN work happens, never WHAT a query answers.
+// invariant), lazy vs. eager IRR query mode, warm vs. cold keyword cache,
+// prefetch on/off, and across index handles. Concurrency must only ever
+// change WHEN work happens, never WHAT a query answers.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -203,7 +203,7 @@ TEST_F(DeterminismTest, IndexAnswersAreInvariantToCacheConfiguration) {
   const std::vector<Query> queries = {{{0, 2}, 8}, {{1, 3}, 6},
                                       {{0, 1, 4}, 12}};
 
-  // Reference: cold cache, no prefetch, lazy IR members.
+  // Reference: cold cache, no prefetch.
   KeywordCacheOptions reference_options;
   reference_options.prefetch_threads = 0;
   auto reference_irr = IrrIndex::Open(dir_, reference_options);
@@ -213,14 +213,11 @@ TEST_F(DeterminismTest, IndexAnswersAreInvariantToCacheConfiguration) {
 
   struct CacheConfig {
     const char* name;
-    bool eager_ir;
     uint32_t prefetch_threads;
   };
   const CacheConfig configs[] = {
-      {"lazy_no_prefetch", false, 0},
-      {"eager_no_prefetch", true, 0},
-      {"lazy_prefetch", false, 2},
-      {"eager_prefetch", true, 2},
+      {"no_prefetch", 0},
+      {"prefetch", 2},
   };
   for (const Query& q : queries) {
     auto want = reference_irr->Query(q);
@@ -231,20 +228,22 @@ TEST_F(DeterminismTest, IndexAnswersAreInvariantToCacheConfiguration) {
     ExpectIdentical(*want, *want_rr, "irr vs rr");
     for (const CacheConfig& config : configs) {
       KeywordCacheOptions options;
-      options.eager_ir_members = config.eager_ir;
       options.prefetch_threads = config.prefetch_threads;
       auto irr = IrrIndex::Open(dir_, options);
       ASSERT_TRUE(irr.ok());
       for (IrrQueryMode mode :
            {IrrQueryMode::kLazy, IrrQueryMode::kEager}) {
         // Cold pass (fresh handle), then warm pass through the same
-        // cache: all four answers must be identical to the reference.
+        // cache: every answer must be identical to the reference.
+        const std::string label =
+            std::string(config.name) +
+            (mode == IrrQueryMode::kLazy ? " lazy" : " eager");
         auto cold = irr->Query(q, mode);
         ASSERT_TRUE(cold.ok()) << cold.status();
         auto warm = irr->Query(q, mode);
         ASSERT_TRUE(warm.ok());
-        ExpectIdentical(*want, *cold, std::string(config.name) + " cold");
-        ExpectIdentical(*want, *warm, std::string(config.name) + " warm");
+        ExpectIdentical(*want, *cold, label + " cold");
+        ExpectIdentical(*want, *warm, label + " warm");
       }
     }
   }

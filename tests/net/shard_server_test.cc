@@ -1,6 +1,7 @@
 // ShardServer + ShardClient: framed RPCs against a real QueryService —
 // meta shipping, full solves equal to the in-process engine, RR block
-// fetches, wire-deadline shedding at dequeue, and client reconnects.
+// fetches (and the refusal of over-budget ones), wire-deadline shedding
+// at dequeue, and client reconnects.
 #include "net/shard_server.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "index/index_builder.h"
 #include "index/rr_index.h"
 #include "net/shard_client.h"
+#include "storage/io_counter.h"
 
 namespace kbtim {
 namespace net {
@@ -140,6 +142,61 @@ TEST_F(ShardServerTest, ServesRrBlocksAtRequestedBudget) {
               result->blocks[i]->loaded_budget + 1);
   }
   EXPECT_GE((*server)->service().stats().rr_fetches, 1u);
+}
+
+TEST_F(ShardServerTest, OverBudgetFetchIsRejectedWithoutHarmingTopic) {
+  // A budget past θ_w is the caller's error. It must come back as
+  // kInvalidArgument and leave the topic's cached blocks, its breaker and
+  // its answers alone; read as disk corruption, it would invalidate a
+  // healthy topic and count against its breaker.
+  auto server = ShardServer::Start(*dir_, DeterministicOptions());
+  ASSERT_TRUE(server.ok()) << server.status();
+  const IndexMeta& meta = (*server)->service().meta();
+  TopicId topic = 0;
+  while (topic < meta.num_topics && meta.topics[topic].theta == 0) ++topic;
+  ASSERT_LT(topic, meta.num_topics);
+  const uint64_t theta = meta.topics[topic].theta;
+  const std::shared_ptr<KeywordCache>& cache = (*server)->service().cache();
+
+  ShardClient client("127.0.0.1", (*server)->port());
+  RrFetchRequest in_budget;
+  in_budget.topics = {topic};
+  in_budget.budgets = {std::min<uint64_t>(theta, 64)};
+  auto before = client.FetchRr(in_budget);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_TRUE(before->dropped.empty());
+
+  RrFetchRequest over_budget = in_budget;
+  over_budget.budgets = {theta + 1};
+  for (int i = 0; i < 3; ++i) {
+    bool transport_failed = true;
+    auto result = client.FetchRr(over_budget, &transport_failed);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+    EXPECT_FALSE(transport_failed);
+  }
+  // The cache refuses such a budget itself, before it touches the topic.
+  auto direct = cache->GetRrKeyword(topic, theta + 1);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument)
+      << direct.status();
+  EXPECT_EQ(cache->stats().topic_invalidations, 0u);
+  EXPECT_EQ(cache->stats().decode_failures, 0u);
+
+  // The block fetched before is still resident: the repeat reads nothing.
+  const IoStats io_before = IoCounter::Snapshot();
+  auto after = client.FetchRr(in_budget);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_TRUE(after->dropped.empty());
+  EXPECT_EQ((IoCounter::Snapshot() - io_before).read_ops, 0u);
+
+  ServiceRequest request;
+  request.query = Query{{topic}, 6};
+  request.engine = QueryEngine::kRr;
+  auto answer = client.Query(request);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_FALSE(answer->degraded);
 }
 
 TEST_F(ShardServerTest, WireDeadlineShedsAtDequeue) {

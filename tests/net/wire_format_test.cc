@@ -71,7 +71,7 @@ TEST(WireStatus, RoundTripsOkAndError) {
 
 TEST(WireMeta, RoundTripsEveryBudgetRelevantField) {
   IndexMeta meta;
-  meta.format_version = kIndexFormatLatest;
+  meta.format_version = kIndexFormatV2;
   meta.epsilon = 0.37;
   meta.max_k = 42;
   meta.partition_size = 17;

@@ -1,10 +1,12 @@
 // Property / fuzz round-trips for the payload codecs under the index hot
 // path: GroupVarintCodec and the monomorphic PforDecodeAppend kernel must
-// agree byte-for-byte with their scalar fallbacks on ADVERSARIAL inputs —
-// all-zero lists, max-width values, block/group-boundary lengths, empty
-// lists — across a seeded RNG sweep; truncated and bit-flipped buffers
-// must fail closed (no crash, no OOM, caller's data intact). Run under
-// ASan+UBSan in CI, this is the codecs' memory-safety net.
+// round-trip ADVERSARIAL inputs — all-zero lists, max-width values,
+// block/group-boundary lengths, empty lists — across a seeded RNG sweep,
+// and the group-varint kernel must agree byte-for-byte with the scalar
+// reference decoder (tests/testing/scalar_decode.h), on valid buffers and
+// on corrupt ones; truncated and bit-flipped buffers must fail closed (no
+// crash, no OOM, caller's data intact). Run under ASan+UBSan in CI, this
+// is the codecs' memory-safety net.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,21 +16,27 @@
 #include "common/rng.h"
 #include "storage/decode_kernels.h"
 #include "storage/pfor_codec.h"
+#include "storage/varint.h"
+#include "testing/scalar_decode.h"
 
 namespace kbtim {
 namespace {
 
-/// Restores the process-wide batch switch on scope exit.
-class ScopedBatchMode {
- public:
-  explicit ScopedBatchMode(bool enabled) : saved_(BatchDecodeEnabled()) {
-    SetBatchDecodeEnabled(enabled);
-  }
-  ~ScopedBatchMode() { SetBatchDecodeEnabled(saved_); }
+using testing::ScalarGroupVarintDecode;
 
- private:
-  bool saved_;
-};
+/// Decodes a GroupVarintCodec buffer (count varint, then groups) with the
+/// scalar reference decoder. Returns false wherever the codec must fail.
+bool ScalarGroupVarintCodecDecode(std::string_view data,
+                                  std::vector<uint32_t>* out) {
+  const char* limit = data.data() + data.size();
+  uint64_t count = 0;
+  const char* p = GetVarint64(data.data(), limit, &count);
+  if (p == nullptr || count > static_cast<uint64_t>(limit - p) * 4) {
+    return false;
+  }
+  out->assign(count, 0);
+  return ScalarGroupVarintDecode(p, limit, count, out->data()) != nullptr;
+}
 
 /// Lengths that straddle every framing boundary: the group-varint group
 /// (4), the PFoR block (128), its multiples, and the empty list.
@@ -104,14 +112,11 @@ TEST(CodecPropertyTest, PforAppendRoundTripSweep) {
 
         ExpectPforAppendMatches(encoded, values);
 
-        // The virtual-dispatch reference decoder agrees in both modes.
-        for (bool batch : {true, false}) {
-          ScopedBatchMode mode(batch);
-          std::vector<uint32_t> reference;
-          ASSERT_TRUE(codec.Decode(encoded, &reference).ok())
-              << "seed=" << seed << " n=" << n;
-          EXPECT_EQ(reference, values);
-        }
+        // The virtual-dispatch reference decoder agrees.
+        std::vector<uint32_t> reference;
+        ASSERT_TRUE(codec.Decode(encoded, &reference).ok())
+            << "seed=" << seed << " n=" << n;
+        EXPECT_EQ(reference, values);
       }
     }
   }
@@ -200,7 +205,7 @@ TEST(CodecPropertyTest, PforAppendSurvivesBitFlipFuzz) {
   }
 }
 
-TEST(CodecPropertyTest, GroupVarintRoundTripSweepBatchAndScalar) {
+TEST(CodecPropertyTest, GroupVarintRoundTripSweepMatchesScalar) {
   GroupVarintCodec codec;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 104729);
@@ -209,58 +214,56 @@ TEST(CodecPropertyTest, GroupVarintRoundTripSweepBatchAndScalar) {
         const std::vector<uint32_t> values = MakeValues(rng, shape, n);
         std::string encoded;
         codec.Encode(values, &encoded);
-        for (bool batch : {true, false}) {
-          ScopedBatchMode mode(batch);
-          std::vector<uint32_t> decoded;
-          ASSERT_TRUE(codec.Decode(encoded, &decoded).ok())
-              << "seed=" << seed << " n=" << n << " batch=" << batch;
-          EXPECT_EQ(decoded, values);
-        }
+        std::vector<uint32_t> decoded, scalar;
+        ASSERT_TRUE(codec.Decode(encoded, &decoded).ok())
+            << "seed=" << seed << " n=" << n;
+        ASSERT_TRUE(ScalarGroupVarintCodecDecode(encoded, &scalar))
+            << "seed=" << seed << " n=" << n;
+        EXPECT_EQ(decoded, values);
+        EXPECT_EQ(scalar, values);
       }
     }
   }
 }
 
-TEST(CodecPropertyTest, GroupVarintTruncationFailsInBothModes) {
+TEST(CodecPropertyTest, GroupVarintTruncationFailsLikeScalar) {
   GroupVarintCodec codec;
   Rng rng(271828);
   const std::vector<uint32_t> values =
       MakeValues(rng, Shape::kUniformFull, 41);  // 4-byte lanes + tail
   std::string encoded;
   codec.Encode(values, &encoded);
-  for (bool batch : {true, false}) {
-    ScopedBatchMode mode(batch);
-    for (size_t cut = 0; cut < encoded.size(); ++cut) {
-      std::vector<uint32_t> decoded;
-      const Status status =
-          codec.Decode(std::string_view(encoded.data(), cut), &decoded);
-      EXPECT_TRUE(status.IsCorruption())
-          << "cut=" << cut << " batch=" << batch << " -> " << status;
-    }
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    const std::string_view truncated(encoded.data(), cut);
+    std::vector<uint32_t> decoded;
+    const Status status = codec.Decode(truncated, &decoded);
+    EXPECT_TRUE(status.IsCorruption()) << "cut=" << cut << " -> " << status;
+    EXPECT_FALSE(ScalarGroupVarintCodecDecode(truncated, &decoded))
+        << "cut=" << cut;
   }
 }
 
-TEST(CodecPropertyTest, GroupVarintBitFlipFuzzNeverCrashes) {
+TEST(CodecPropertyTest, GroupVarintBitFlipFuzzMatchesScalar) {
   GroupVarintCodec codec;
   Rng rng(161803);
   const std::vector<uint32_t> values =
       MakeValues(rng, Shape::kMostlySmallWithSpikes, 200);
   std::string pristine;
   codec.Encode(values, &pristine);
-  for (bool batch : {true, false}) {
-    ScopedBatchMode mode(batch);
-    for (int trial = 0; trial < 300; ++trial) {
-      std::string corrupt = pristine;
-      const size_t pos =
-          static_cast<size_t>(rng.NextU64Below(corrupt.size()));
-      corrupt[pos] = static_cast<char>(
-          corrupt[pos] ^ (1u << rng.NextU64Below(8)));
-      std::vector<uint32_t> decoded;
-      const Status status = codec.Decode(corrupt, &decoded);
-      // Either outcome is fine; crashing or overreading is not.
-      if (status.ok()) {
-        EXPECT_LE(decoded.size(), corrupt.size() * 4);
-      }
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string corrupt = pristine;
+    const size_t pos = static_cast<size_t>(rng.NextU64Below(corrupt.size()));
+    corrupt[pos] =
+        static_cast<char>(corrupt[pos] ^ (1u << rng.NextU64Below(8)));
+    // Either outcome is fine; crashing, overreading, or disagreeing with
+    // the scalar reference on the same corrupt bytes is not.
+    std::vector<uint32_t> decoded, scalar;
+    const Status status = codec.Decode(corrupt, &decoded);
+    ASSERT_EQ(status.ok(), ScalarGroupVarintCodecDecode(corrupt, &scalar))
+        << "trial=" << trial << " -> " << status;
+    if (status.ok()) {
+      EXPECT_LE(decoded.size(), corrupt.size() * 4);
+      EXPECT_EQ(decoded, scalar) << "trial=" << trial;
     }
   }
 }
@@ -283,20 +286,12 @@ TEST(CodecPropertyTest, BatchAndScalarGroupVarintAgreeOnRandomBuffers) {
       GroupVarintEncode(values, &encoded);
       std::vector<uint32_t> batch(n, 0xABABABAB);
       std::vector<uint32_t> scalar(n, 0xCDCDCDCD);
-      {
-        ScopedBatchMode mode(true);
-        ASSERT_NE(GroupVarintDecode(encoded.data(),
-                                    encoded.data() + encoded.size(), n,
-                                    batch.data()),
-                  nullptr);
-      }
-      {
-        ScopedBatchMode mode(false);
-        ASSERT_NE(GroupVarintDecode(encoded.data(),
-                                    encoded.data() + encoded.size(), n,
-                                    scalar.data()),
-                  nullptr);
-      }
+      const char* limit = encoded.data() + encoded.size();
+      ASSERT_NE(GroupVarintDecode(encoded.data(), limit, n, batch.data()),
+                nullptr);
+      ASSERT_NE(
+          ScalarGroupVarintDecode(encoded.data(), limit, n, scalar.data()),
+          nullptr);
       EXPECT_EQ(batch, scalar);
       EXPECT_EQ(batch, values);
     }

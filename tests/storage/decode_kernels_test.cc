@@ -1,6 +1,7 @@
 // Edge cases of the batch decode kernels: tails shorter than one group /
 // block, max-width values, zero-length lists, short buffers, and exact
-// batch == scalar equivalence on randomized inputs.
+// agreement with the byte-at-a-time reference decoders on randomized
+// inputs.
 #include "storage/decode_kernels.h"
 
 #include <gtest/gtest.h>
@@ -10,22 +11,13 @@
 #include "common/rng.h"
 #include "storage/bitpacking.h"
 #include "storage/pfor_codec.h"
+#include "testing/scalar_decode.h"
 
 namespace kbtim {
 namespace {
 
-/// Restores the process-wide batch switch on scope exit so test order
-/// never leaks a scalar-mode setting into other suites.
-class ScopedBatchMode {
- public:
-  explicit ScopedBatchMode(bool enabled) : saved_(BatchDecodeEnabled()) {
-    SetBatchDecodeEnabled(enabled);
-  }
-  ~ScopedBatchMode() { SetBatchDecodeEnabled(saved_); }
-
- private:
-  bool saved_;
-};
+using testing::ScalarBitUnpack;
+using testing::ScalarGroupVarintDecode;
 
 std::vector<uint32_t> RandomValues(Rng& rng, size_t n, uint32_t max_bits) {
   std::vector<uint32_t> values(n);
@@ -35,7 +27,7 @@ std::vector<uint32_t> RandomValues(Rng& rng, size_t n, uint32_t max_bits) {
   return values;
 }
 
-TEST(BitUnpackBatchTest, MatchesScalarAcrossWidthsAndLengths) {
+TEST(BitUnpackTest, MatchesScalarAcrossWidthsAndLengths) {
   Rng rng(11);
   for (uint32_t bits = 0; bits <= 32; ++bits) {
     // Lengths straddling the unroll factor, the 128-value PFOR block, and
@@ -51,12 +43,11 @@ TEST(BitUnpackBatchTest, MatchesScalarAcrossWidthsAndLengths) {
       BitPack(values.data(), n, bits, &packed);
 
       std::vector<uint32_t> batch(n, 0xDEADBEEF);
-      const size_t used_batch = BitUnpackBatch(packed.data(), packed.size(),
-                                               n, bits, batch.data());
+      const size_t used_batch =
+          BitUnpack(packed.data(), packed.size(), n, bits, batch.data());
       std::vector<uint32_t> scalar(n, 0xDEADBEEF);
-      ScopedBatchMode scalar_mode(false);
-      const size_t used_scalar = BitUnpack(packed.data(), packed.size(), n,
-                                           bits, scalar.data());
+      const size_t used_scalar = ScalarBitUnpack(
+          packed.data(), packed.size(), n, bits, scalar.data());
       EXPECT_EQ(used_batch, used_scalar) << "bits=" << bits << " n=" << n;
       EXPECT_EQ(batch, values) << "bits=" << bits << " n=" << n;
       EXPECT_EQ(scalar, values) << "bits=" << bits << " n=" << n;
@@ -64,17 +55,17 @@ TEST(BitUnpackBatchTest, MatchesScalarAcrossWidthsAndLengths) {
   }
 }
 
-TEST(BitUnpackBatchTest, ShortBufferIsRejectedNotOverread) {
+TEST(BitUnpackTest, ShortBufferIsRejectedNotOverread) {
   const std::vector<uint32_t> values(100, 0x1FFFFF);
   std::string packed;
   BitPack(values.data(), values.size(), 21, &packed);
   std::vector<uint32_t> out(values.size());
-  EXPECT_EQ(BitUnpackBatch(packed.data(), packed.size() - 1, values.size(),
-                           21, out.data()),
+  EXPECT_EQ(BitUnpack(packed.data(), packed.size() - 1, values.size(), 21,
+                      out.data()),
             0u);
 }
 
-TEST(BitUnpackBatchTest, ExactAvailNeverLoadsPastEnd) {
+TEST(BitUnpackTest, ExactAvailNeverLoadsPastEnd) {
   // The 8-byte-load fast path must hand the last values to the scalar
   // tail: decode from a buffer sized EXACTLY to the packed bytes (ASan
   // would flag any overread; the value check catches wrong splits).
@@ -89,9 +80,8 @@ TEST(BitUnpackBatchTest, ExactAvailNeverLoadsPastEnd) {
       // Heap copy sized exactly: any load past `need` reads unowned bytes.
       std::vector<char> exact(packed.begin(), packed.end());
       std::vector<uint32_t> out(n, 0);
-      EXPECT_EQ(
-          BitUnpackBatch(exact.data(), exact.size(), n, bits, out.data()),
-          exact.size());
+      EXPECT_EQ(BitUnpack(exact.data(), exact.size(), n, bits, out.data()),
+                exact.size());
       EXPECT_EQ(out, values) << "bits=" << bits << " n=" << n;
     }
   }
@@ -122,15 +112,17 @@ TEST(GroupVarintKernelTest, MaxWidthValues) {
                                         0xFFFFFFFFu};
   std::string encoded;
   GroupVarintEncode(values, &encoded);
-  for (bool batch : {true, false}) {
-    ScopedBatchMode mode(batch);
-    std::vector<uint32_t> out(values.size(), 0);
-    ASSERT_NE(GroupVarintDecode(encoded.data(),
-                                encoded.data() + encoded.size(),
-                                values.size(), out.data()),
-              nullptr);
-    EXPECT_EQ(out, values) << "batch=" << batch;
-  }
+  const char* limit = encoded.data() + encoded.size();
+  std::vector<uint32_t> batch(values.size(), 0);
+  std::vector<uint32_t> scalar(values.size(), 0);
+  ASSERT_NE(GroupVarintDecode(encoded.data(), limit, values.size(),
+                              batch.data()),
+            nullptr);
+  ASSERT_NE(ScalarGroupVarintDecode(encoded.data(), limit, values.size(),
+                                    scalar.data()),
+            nullptr);
+  EXPECT_EQ(batch, values);
+  EXPECT_EQ(scalar, values);
 }
 
 TEST(GroupVarintKernelTest, TruncatedInputFailsCleanly) {
@@ -138,18 +130,19 @@ TEST(GroupVarintKernelTest, TruncatedInputFailsCleanly) {
   std::string encoded;
   GroupVarintEncode(values, &encoded);
   std::vector<uint32_t> out(values.size());
-  for (bool batch : {true, false}) {
-    ScopedBatchMode mode(batch);
-    for (size_t cut = 0; cut < encoded.size(); ++cut) {
-      EXPECT_EQ(GroupVarintDecode(encoded.data(), encoded.data() + cut,
-                                  values.size(), out.data()),
-                nullptr)
-          << "batch=" << batch << " cut=" << cut;
-    }
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    EXPECT_EQ(GroupVarintDecode(encoded.data(), encoded.data() + cut,
+                                values.size(), out.data()),
+              nullptr)
+        << "cut=" << cut;
+    EXPECT_EQ(ScalarGroupVarintDecode(encoded.data(), encoded.data() + cut,
+                                      values.size(), out.data()),
+              nullptr)
+        << "cut=" << cut;
   }
 }
 
-TEST(GroupVarintCodecTest, RoundTripAndScalarEquivalence) {
+TEST(GroupVarintCodecTest, RoundTrip) {
   GroupVarintCodec codec;
   EXPECT_STREQ(codec.Name(), "gvarint");
   Rng rng(21);
@@ -159,14 +152,9 @@ TEST(GroupVarintCodecTest, RoundTripAndScalarEquivalence) {
       const std::vector<uint32_t> values = RandomValues(rng, n, width);
       std::string encoded;
       codec.Encode(values, &encoded);
-      std::vector<uint32_t> batch_out, scalar_out;
-      ASSERT_TRUE(codec.Decode(encoded, &batch_out).ok());
-      {
-        ScopedBatchMode scalar_mode(false);
-        ASSERT_TRUE(codec.Decode(encoded, &scalar_out).ok());
-      }
-      EXPECT_EQ(batch_out, values) << "n=" << n << " width=" << width;
-      EXPECT_EQ(scalar_out, values) << "n=" << n << " width=" << width;
+      std::vector<uint32_t> decoded;
+      ASSERT_TRUE(codec.Decode(encoded, &decoded).ok());
+      EXPECT_EQ(decoded, values) << "n=" << n << " width=" << width;
     }
   }
 }
@@ -194,7 +182,7 @@ TEST(GroupVarintCodecTest, CorruptCountRejected) {
   EXPECT_FALSE(codec.Decode(std::string_view(), &out).ok());
 }
 
-TEST(PforCodecTest, BatchScalarEquivalenceOnBlocksAndTails) {
+TEST(PforCodecTest, RoundTripOnBlocksAndTails) {
   PforCodec codec;
   Rng rng(31);
   // Tails shorter than one 128-value block, exact blocks, and a skewed
@@ -205,14 +193,9 @@ TEST(PforCodecTest, BatchScalarEquivalenceOnBlocksAndTails) {
     for (size_t i = 0; i < n; i += 37) values[i] = 0xFFFFFFFFu;  // outliers
     std::string encoded;
     codec.Encode(values, &encoded);
-    std::vector<uint32_t> batch_out, scalar_out;
-    ASSERT_TRUE(codec.Decode(encoded, &batch_out).ok());
-    {
-      ScopedBatchMode scalar_mode(false);
-      ASSERT_TRUE(codec.Decode(encoded, &scalar_out).ok());
-    }
-    EXPECT_EQ(batch_out, values) << "n=" << n;
-    EXPECT_EQ(scalar_out, values) << "n=" << n;
+    std::vector<uint32_t> decoded;
+    ASSERT_TRUE(codec.Decode(encoded, &decoded).ok());
+    EXPECT_EQ(decoded, values) << "n=" << n;
   }
 }
 
