@@ -9,8 +9,8 @@
 // The build subcommand also writes the generated graph next to the index
 // (graph.bin) so later runs can inspect it; --scale shrinks the preset's
 // vertex count (min 1000) for smoke builds. verify checks every
-// structural invariant of the on-disk format plus, on v2 indexes, every
-// stored CRC32C (see index/index_verifier.h).
+// structural invariant of the on-disk format plus every stored CRC32C
+// (see index/index_verifier.h).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -15,18 +15,10 @@
 #include "sampling/theta_bounds.h"
 #include "sampling/vertex_sampler.h"
 #include "storage/block_file.h"
-#include "storage/crc32c.h"
 #include "storage/varint.h"
 
 namespace kbtim {
 namespace {
-
-void PutFixed32(std::string* dst, uint32_t v) {
-  dst->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutFixed64(std::string* dst, uint64_t v) {
-  dst->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 
 /// Delta + codec encoding of an ascending id list.
 void EncodeIdList(std::vector<uint32_t> sorted, const IntCodec& codec,
@@ -43,14 +35,6 @@ struct KeywordArtifacts {
   uint64_t total_set_items = 0;
 };
 
-/// Masked CRC of one payload page (the last page may be short).
-uint32_t PageCrc(const std::string& payload, uint64_t page) {
-  const uint64_t begin = page * kRrCrcPageSize;
-  const uint64_t end =
-      std::min<uint64_t>(payload.size(), begin + kRrCrcPageSize);
-  return crc32c::Mask(crc32c::Value(payload.data() + begin, end - begin));
-}
-
 Status WriteRrFile(const std::string& path, TopicId topic,
                    const RrCollection& sets, CodecKind codec_kind,
                    uint64_t* bytes_out, uint64_t* preamble_out) {
@@ -62,44 +46,21 @@ Status WriteRrFile(const std::string& path, TopicId topic,
   offsets.reserve(count + 1);
   std::vector<uint32_t> members;
   for (uint64_t i = 0; i < count; ++i) {
-    offsets.push_back(payload.size());  // relative; rebased below
+    offsets.push_back(payload.size());  // relative; rebased by the encoder
     const auto set = sets.Set(static_cast<RrId>(i));
     members.assign(set.begin(), set.end());
     EncodeIdList(std::move(members), *codec, &payload);
     members.clear();
   }
   offsets.push_back(payload.size());
-
-  const uint64_t num_pages =
-      (payload.size() + kRrCrcPageSize - 1) / kRrCrcPageSize;
-  const uint64_t dir_size = (count + 1) * sizeof(uint64_t);
-  const uint64_t preamble = kRrHeaderSizeV2 + dir_size + 4 + num_pages * 4;
-  for (uint64_t& off : offsets) off += preamble;
-
-  std::string header;
-  header.append(kRrMagicV2, 4);
-  PutFixed32(&header, topic);
-  PutFixed64(&header, count);
-  header.push_back(static_cast<char>(codec_kind));
-  PutFixed64(&header, num_pages);
-  PutFixed32(&header,
-             crc32c::Mask(crc32c::Value(header.data(), header.size())));
+  const std::string preamble =
+      EncodeRrPreamble(topic, codec_kind, offsets, payload);
 
   KBTIM_ASSIGN_OR_RETURN(auto writer, FileWriter::CreateAtomic(path));
-  KBTIM_RETURN_IF_ERROR(writer->Append(header));
-  const std::string_view dir_bytes{
-      reinterpret_cast<const char*>(offsets.data()), dir_size};
-  KBTIM_RETURN_IF_ERROR(writer->Append(dir_bytes));
-  std::string crcs;
-  PutFixed32(&crcs, crc32c::Mask(crc32c::Value(dir_bytes.data(),
-                                               dir_bytes.size())));
-  for (uint64_t page = 0; page < num_pages; ++page) {
-    PutFixed32(&crcs, PageCrc(payload, page));
-  }
-  KBTIM_RETURN_IF_ERROR(writer->Append(crcs));
+  KBTIM_RETURN_IF_ERROR(writer->Append(preamble));
   KBTIM_RETURN_IF_ERROR(writer->Append(payload));
   *bytes_out = writer->offset();
-  *preamble_out = preamble;
+  *preamble_out = preamble.size();
   return writer->Close();
 }
 
@@ -124,20 +85,9 @@ Status WriteListsFile(const std::string& path, TopicId topic,
     PutVarint64(&payload, tmp.size());
     payload += tmp;
   }
-  std::string header;
-  header.append(kListsMagicV2, 4);
-  PutFixed32(&header, topic);
-  PutFixed64(&header, num_entries);
-  header.push_back(static_cast<char>(codec_kind));
-  // The file is always read whole, so one payload CRC suffices; the
-  // header CRC also covers it.
-  PutFixed32(&header,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&header,
-             crc32c::Mask(crc32c::Value(header.data(), header.size())));
-
   KBTIM_ASSIGN_OR_RETURN(auto writer, FileWriter::CreateAtomic(path));
-  KBTIM_RETURN_IF_ERROR(writer->Append(header));
+  KBTIM_RETURN_IF_ERROR(writer->Append(
+      EncodeListsHeader({topic, num_entries, codec_kind}, payload)));
   KBTIM_RETURN_IF_ERROR(writer->Append(payload));
   *bytes_out = writer->offset();
   return writer->Close();
@@ -227,56 +177,22 @@ Status WriteIrrFile(const std::string& path, TopicId topic,
     }
     info.num_sets = static_cast<uint32_t>(new_sets.size());
     info.length = il.size() + ir.size();
-    info.offset = partitions.size();  // relative; rebased below
+    info.offset = partitions.size();  // relative; rebased by the encoder
     dir.push_back(info);
     partitions += il;
     partitions += ir;
   }
 
-  // Header: magic | topic | num_users | num_partitions | delta | codec |
-  // theta (4+4+8+8+4+1+8 = 37 bytes), then a masked header CRC.
-  std::string header;
-  header.append(kIrrMagicV2, 4);
-  PutFixed32(&header, topic);
-  PutFixed64(&header, users.size());
-  PutFixed64(&header, num_partitions);
-  PutFixed32(&header, delta);
-  header.push_back(static_cast<char>(codec_kind));
-  PutFixed64(&header, theta);
-  PutFixed32(&header,
-             crc32c::Mask(crc32c::Value(header.data(), header.size())));
-
-  // The preamble ends with a masked CRC of everything before it.
-  const uint64_t preamble = header.size() + ip_buf.size() +
-                            dir.size() * kIrrDirEntrySizeV2 + 4;
-  std::string dir_buf;
-  dir_buf.reserve(dir.size() * kIrrDirEntrySizeV2);
-  for (auto& info : dir) {
-    info.crc = crc32c::Mask(
-        crc32c::Value(partitions.data() + info.offset, info.length));
-    info.offset += preamble;
-    PutFixed64(&dir_buf, info.offset);
-    PutFixed64(&dir_buf, info.length);
-    PutFixed32(&dir_buf, info.num_users);
-    PutFixed32(&dir_buf, info.num_sets);
-    PutFixed32(&dir_buf, info.max_list_len);
-    PutFixed32(&dir_buf, info.min_list_len);
-    PutFixed32(&dir_buf, info.crc);
-  }
+  const IrrHeader header{topic, users.size(), num_partitions,
+                         delta, codec_kind, theta};
+  const std::string preamble =
+      EncodeIrrPreamble(header, ip_buf, dir, partitions);
 
   KBTIM_ASSIGN_OR_RETURN(auto writer, FileWriter::CreateAtomic(path));
-  KBTIM_RETURN_IF_ERROR(writer->Append(header));
-  KBTIM_RETURN_IF_ERROR(writer->Append(ip_buf));
-  KBTIM_RETURN_IF_ERROR(writer->Append(dir_buf));
-  uint32_t pre_crc = crc32c::Value(header.data(), header.size());
-  pre_crc = crc32c::Extend(pre_crc, ip_buf.data(), ip_buf.size());
-  pre_crc = crc32c::Extend(pre_crc, dir_buf.data(), dir_buf.size());
-  std::string trailer;
-  PutFixed32(&trailer, crc32c::Mask(pre_crc));
-  KBTIM_RETURN_IF_ERROR(writer->Append(trailer));
+  KBTIM_RETURN_IF_ERROR(writer->Append(preamble));
   KBTIM_RETURN_IF_ERROR(writer->Append(partitions));
   *bytes_out = writer->offset();
-  *preamble_out = preamble;
+  *preamble_out = preamble.size();
   return writer->Close();
 }
 

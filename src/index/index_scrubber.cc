@@ -2,30 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <future>
 
 #include "common/logging.h"
 #include "storage/block_file.h"
-#include "storage/crc32c.h"
 
 namespace kbtim {
-namespace {
-
-uint32_t LoadFixed32(const char* p) {
-  uint32_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t LoadFixed64(const char* p) {
-  uint64_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 IndexScrubber::IndexScrubber(std::shared_ptr<KeywordCache> cache,
                              IndexScrubberOptions options)
@@ -48,17 +31,12 @@ IndexScrubberStats IndexScrubber::stats() const {
   return stats_;
 }
 
-Status IndexScrubber::CheckCrc(const char* data, size_t n,
-                               uint32_t stored_masked, const char* what,
-                               const std::string& path) {
-  const bool match = crc32c::Unmask(stored_masked) == crc32c::Value(data, n);
+Status IndexScrubber::Account(const CrcTally& tally, Status status) {
   MutexLock lock(&mu_);
-  ++stats_.blocks_scrubbed;
-  stats_.bytes_scrubbed += n;
-  if (match) return Status::OK();
-  ++stats_.crc_failures;
-  return Status::Corruption(std::string(what) +
-                            " checksum mismatch (scrub): " + path);
+  stats_.blocks_scrubbed += tally.checks;
+  stats_.bytes_scrubbed += tally.bytes;
+  stats_.crc_failures += tally.failures;
+  return status;
 }
 
 Status IndexScrubber::RunUnit(std::function<Status()> unit) {
@@ -79,57 +57,23 @@ Status IndexScrubber::RunUnit(std::function<Status()> unit) {
 
 Status IndexScrubber::VerifyRrFile(TopicId topic) {
   const std::string path = RrFileName(cache_->dir(), topic);
-  const IndexMeta::TopicMeta& tm = cache_->meta().topics[topic];
+  const IndexMeta& meta = cache_->meta();
   KBTIM_ASSIGN_OR_RETURN(auto file,
                          RandomAccessFile::Open(path, /*prefer_mmap=*/true));
-  const uint64_t file_size = file->size();
-  if (tm.rr_preamble < kRrHeaderSizeV2 + 12 || tm.rr_preamble > file_size) {
-    return Status::Corruption("bad RR preamble length (scrub): " + path);
-  }
   std::string scratch;
-  KBTIM_ASSIGN_OR_RETURN(std::string_view head,
-                         file->ReadOrCopy(0, tm.rr_preamble, &scratch));
-  if (std::memcmp(head.data(), kRrMagicV2, 4) != 0) {
-    return Status::Corruption("bad RR magic (scrub): " + path);
-  }
-  constexpr size_t kHeaderCrcAt = kRrHeaderSizeV2 - 4;
-  KBTIM_RETURN_IF_ERROR(CheckCrc(head.data(), kHeaderCrcAt,
-                                 LoadFixed32(head.data() + kHeaderCrcAt),
-                                 "RR header", path));
-  const uint64_t count = LoadFixed64(head.data() + 8);
-  const uint64_t num_pages = LoadFixed64(head.data() + 17);
-  const uint64_t dir_size = (count + 1) * sizeof(uint64_t);
-  if (tm.rr_preamble !=
-      kRrHeaderSizeV2 + dir_size + 4 + num_pages * sizeof(uint32_t)) {
-    return Status::Corruption("RR preamble layout mismatch (scrub): " +
-                              path);
-  }
-  const char* dir = head.data() + kRrHeaderSizeV2;
-  KBTIM_RETURN_IF_ERROR(CheckCrc(dir, dir_size,
-                                 LoadFixed32(dir + dir_size),
-                                 "RR directory", path));
-  const char* pages = dir + dir_size + 4;
-
-  // Payload pages.
-  const uint64_t payload_size = file_size - tm.rr_preamble;
-  if (num_pages !=
-      (payload_size + kRrCrcPageSize - 1) / kRrCrcPageSize) {
-    return Status::Corruption("RR page table size mismatch (scrub): " +
-                              path);
-  }
-  std::string payload_scratch;
   KBTIM_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      file->ReadOrCopy(tm.rr_preamble, payload_size, &payload_scratch));
-  for (uint64_t i = 0; i < num_pages; ++i) {
-    const uint64_t begin = i * kRrCrcPageSize;
-    const uint64_t end =
-        std::min<uint64_t>(payload_size, begin + kRrCrcPageSize);
-    KBTIM_RETURN_IF_ERROR(CheckCrc(payload.data() + begin, end - begin,
-                                   LoadFixed32(pages + i * 4),
-                                   "RR payload page", path));
-  }
-  return Status::OK();
+      std::string_view head,
+      ReadPreamble(*file, meta.topics[topic].rr_preamble, &scratch));
+  CrcTally tally;
+  auto parsed =
+      ParseRrPreamble(head, file->size(), topic, meta.codec, path, &tally);
+  if (!parsed.ok()) return Account(tally, parsed.status());
+  std::string payload_scratch;
+  auto payload = file->ReadOrCopy(head.size(), file->size() - head.size(),
+                                  &payload_scratch);
+  if (!payload.ok()) return Account(tally, payload.status());
+  return Account(tally,
+                 CheckRrPages(*payload, parsed->page_crcs, path, &tally));
 }
 
 Status IndexScrubber::VerifyListsFile(TopicId topic) {
@@ -139,65 +83,35 @@ Status IndexScrubber::VerifyListsFile(TopicId topic) {
   std::string scratch;
   KBTIM_ASSIGN_OR_RETURN(std::string_view buf,
                          file->ReadOrCopy(0, file->size(), &scratch));
-  if (buf.size() < kListsHeaderSizeV2 ||
-      std::memcmp(buf.data(), kListsMagicV2, 4) != 0) {
-    return Status::Corruption("bad lists magic (scrub): " + path);
-  }
-  constexpr size_t kHeaderCrcAt = kListsHeaderSizeV2 - 4;
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), kHeaderCrcAt,
-                                 LoadFixed32(buf.data() + kHeaderCrcAt),
-                                 "lists header", path));
-  return CheckCrc(buf.data() + kListsHeaderSizeV2,
-                  buf.size() - kListsHeaderSizeV2,
-                  LoadFixed32(buf.data() + 17), "lists payload", path);
+  CrcTally tally;
+  return Account(tally, ParseListsFile(buf, topic, cache_->meta().codec, path,
+                                       &tally)
+                            .status());
 }
 
 Status IndexScrubber::VerifyIrrFile(TopicId topic) {
   const std::string path = IrrFileName(cache_->dir(), topic);
-  const IndexMeta::TopicMeta& tm = cache_->meta().topics[topic];
+  const IndexMeta& meta = cache_->meta();
   KBTIM_ASSIGN_OR_RETURN(auto file,
                          RandomAccessFile::Open(path, /*prefer_mmap=*/true));
-  if (tm.irr_preamble < kIrrHeaderSizeV2 + 4 ||
-      tm.irr_preamble > file->size()) {
-    return Status::Corruption("bad IRR preamble length (scrub): " + path);
-  }
   std::string scratch;
-  KBTIM_ASSIGN_OR_RETURN(std::string_view pre,
-                         file->ReadOrCopy(0, tm.irr_preamble, &scratch));
-  if (std::memcmp(pre.data(), kIrrMagicV2, 4) != 0) {
-    return Status::Corruption("bad IRR magic (scrub): " + path);
-  }
-  KBTIM_RETURN_IF_ERROR(CheckCrc(pre.data(), pre.size() - 4,
-                                 LoadFixed32(pre.data() + pre.size() - 4),
-                                 "IRR preamble", path));
-  constexpr size_t kHeaderCrcAt = kIrrHeaderSizeV2 - 4;
-  KBTIM_RETURN_IF_ERROR(CheckCrc(pre.data(), kHeaderCrcAt,
-                                 LoadFixed32(pre.data() + kHeaderCrcAt),
-                                 "IRR header", path));
-  const uint64_t num_partitions = LoadFixed64(pre.data() + 16);
-  const uint64_t dir_bytes = num_partitions * kIrrDirEntrySizeV2;
-  if (kIrrHeaderSizeV2 + dir_bytes + 4 > tm.irr_preamble) {
-    return Status::Corruption("IRR directory exceeds preamble (scrub): " +
-                              path);
-  }
-  const char* dir = pre.data() + (tm.irr_preamble - 4 - dir_bytes);
-  for (uint64_t p = 0; p < num_partitions; ++p) {
-    const char* e = dir + p * kIrrDirEntrySizeV2;
-    const uint64_t offset = LoadFixed64(e);
-    const uint64_t length = LoadFixed64(e + 8);
-    const uint32_t stored = LoadFixed32(e + 32);
-    if (offset < tm.irr_preamble || offset + length < offset ||
-        offset + length > file->size()) {
-      return Status::Corruption("IRR partition out of bounds (scrub): " +
-                                path);
-    }
+  KBTIM_ASSIGN_OR_RETURN(
+      std::string_view pre,
+      ReadPreamble(*file, meta.topics[topic].irr_preamble, &scratch));
+  CrcTally tally;
+  auto parsed =
+      ParseIrrPreamble(pre, file->size(), topic, meta.codec, path, &tally);
+  if (!parsed.ok()) return Account(tally, parsed.status());
+  Status status;
+  for (const IrrPartitionInfo& info : parsed->directory) {
     std::string part_scratch;
-    KBTIM_ASSIGN_OR_RETURN(std::string_view part,
-                           file->ReadOrCopy(offset, length, &part_scratch));
-    KBTIM_RETURN_IF_ERROR(CheckCrc(part.data(), part.size(), stored,
-                                   "IRR partition", path));
+    auto part = file->ReadOrCopy(info.offset, info.length, &part_scratch);
+    status = part.ok() ? CheckCrc(*part, info.crc, "IRR partition", path,
+                                  &tally)
+                       : part.status();
+    if (!status.ok()) break;
   }
-  return Status::OK();
+  return Account(tally, status);
 }
 
 Status IndexScrubber::ScrubTopic(TopicId topic) {

@@ -6,8 +6,10 @@
 // latent flip in a cold block sits undetected until some query finally
 // reads it — possibly at the worst moment. The scrubber walks every
 // topic's rr_/lists_/irr_ files with its OWN file handles and reads
-// (never polluting the block cache or the LRU), checks every stored CRC,
-// and on mismatch:
+// (never polluting the block cache or the LRU), parses each header and
+// directory through index_format — the checks every reader applies:
+// magic, topic, codec, bounds — verifies every stored CRC, and on a
+// failure:
 //   1. quarantines the topic's data files (atomic rename to
 //      <file>.quarantine, isolating the bad bytes from all future opens),
 //   2. invokes the configured rebuilder (IndexBuilder::RebuildTopic —
@@ -91,7 +93,7 @@ class IndexScrubber {
   void SetRebuilder(RebuildFn fn) EXCLUDES(mu_);
   void SetAdmitFn(AdmitFn fn) EXCLUDES(mu_);
 
-  /// Verifies every stored CRC of one topic's files. OK when clean,
+  /// Parses and CRC-checks one topic's files. OK when clean,
   /// skipped, or detected-and-healed (quarantine + rebuild + re-verify
   /// succeeded); kCorruption when corruption was found and repair is
   /// disabled or failed.
@@ -110,8 +112,9 @@ class IndexScrubber {
   IndexScrubberStats stats() const EXCLUDES(mu_);
 
  private:
-  /// Reads + CRC-checks one file, counting each verified unit. The
-  /// returned status is kCorruption exactly when a stored CRC mismatches.
+  /// Reads, parses and CRC-checks one file, counting each verified unit.
+  /// The returned status is kCorruption when a stored CRC mismatches or
+  /// the layout is damaged (wrong magic, topic or codec, bad bounds).
   Status VerifyRrFile(TopicId topic);
   Status VerifyListsFile(TopicId topic);
   Status VerifyIrrFile(TopicId topic);
@@ -123,10 +126,9 @@ class IndexScrubber {
   /// Renames the topic's data files aside and runs the rebuilder.
   Status QuarantineAndRebuild(TopicId topic);
 
-  /// One scrub unit: hash `data`, compare to the stored masked CRC,
-  /// account blocks_scrubbed/bytes_scrubbed/crc_failures.
-  Status CheckCrc(const char* data, size_t n, uint32_t stored_masked,
-                  const char* what, const std::string& path);
+  /// Adds one file's CRC checks to blocks_scrubbed / bytes_scrubbed /
+  /// crc_failures and returns `status`.
+  Status Account(const CrcTally& tally, Status status) EXCLUDES(mu_);
 
   const std::shared_ptr<KeywordCache> cache_;
   const IndexScrubberOptions options_;

@@ -1,7 +1,5 @@
 #include "index/index_verifier.h"
 
-#include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -9,14 +7,18 @@
 #include "graph/graph.h"
 #include "index/index_format.h"
 #include "storage/block_file.h"
-#include "storage/crc32c.h"
 #include "storage/pfor_codec.h"
 #include "storage/varint.h"
 
-// NOTE: the verifier deliberately re-implements the file parsing instead of
-// reusing the query-path readers, so that a bug shared by writer and reader
-// cannot hide from it. Only the CRC32C kernel itself is shared — it is
-// pinned by known-answer vectors in tests/storage/crc32c_test.cc.
+// NOTE: headers, directories and checksums are parsed through index_format,
+// as every reader parses them, so all of them refuse a damaged layout. A
+// bug shared by writer and parser cannot hide there either:
+// tests/index/index_layout_test.cc pins every offset against a committed
+// index, outside this code. What the verifier adds is independent of the
+// readers: payloads decode through the generic codec path (IntCodec),
+// not the cache's kernels, and the checks cross files — the RR and lists
+// membership hashes, the IP map against list heads, IR coverage and
+// content against rr_<w>.dat, and θ_w and δ against the meta.
 
 namespace kbtim {
 namespace {
@@ -33,20 +35,15 @@ Status Corrupt(const std::string& what, TopicId w) {
   return Status::Corruption(what + " (topic " + std::to_string(w) + ")");
 }
 
-uint32_t LoadFixed32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-/// Recomputes one stored masked CRC32C; counts it when it matches.
-Status CheckCrc(const char* data, uint64_t n, uint32_t stored_masked,
-                const std::string& what, TopicId w,
-                IndexVerification* stats) {
-  if (crc32c::Mask(crc32c::Value(data, n)) != stored_masked) {
-    return Corrupt(what + " checksum mismatch", w);
+/// Reads all of `path`; its first `preamble` bytes (the length the meta
+/// records) must be present.
+Status ReadIndexFile(const std::string& path, uint64_t preamble, TopicId w,
+                     std::string* buf) {
+  KBTIM_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
+  KBTIM_RETURN_IF_ERROR(file->Read(0, file->size(), buf));
+  if (preamble > buf->size()) {
+    return Corrupt("file shorter than its preamble: " + path, w);
   }
-  ++stats->checksums_verified;
   return Status::OK();
 }
 
@@ -58,66 +55,24 @@ struct RrFileSummary {
 
 Status VerifyRrFile(const std::string& path, const IndexMeta& meta,
                     TopicId w, RrFileSummary* summary,
-                    IndexVerification* stats) {
-  KBTIM_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
+                    IndexVerification* stats, CrcTally* crcs) {
   std::string buf;
-  KBTIM_RETURN_IF_ERROR(file->Read(0, file->size(), &buf));
-  if (buf.size() < 4 || std::memcmp(buf.data(), "KBR2", 4) != 0) {
-    return Corrupt("rr file bad magic", w);
-  }
-  const uint64_t kHeader = 29;
-  if (buf.size() < kHeader) return Corrupt("rr file header truncated", w);
-  uint32_t topic = 0;
-  uint64_t count = 0, num_pages = 0;
-  std::memcpy(&topic, buf.data() + 4, 4);
-  std::memcpy(&count, buf.data() + 8, 8);
-  const auto codec_kind = static_cast<CodecKind>(buf[16]);
-  std::memcpy(&num_pages, buf.data() + 17, 8);
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 25, LoadFixed32(buf.data() + 25),
-                                 "rr header", w, stats));
-  if (topic != w) return Corrupt("rr file topic mismatch", w);
-  if (codec_kind != meta.codec) return Corrupt("rr file codec mismatch", w);
+  const uint64_t preamble = meta.topics[w].rr_preamble;
+  KBTIM_RETURN_IF_ERROR(ReadIndexFile(path, preamble, w, &buf));
+  const std::string_view bytes(buf);
+  KBTIM_ASSIGN_OR_RETURN(
+      RrPreamble rr, ParseRrPreamble(bytes.substr(0, preamble), bytes.size(),
+                                     w, meta.codec, path, crcs));
+  const uint64_t count = rr.header.count;
   if (count != meta.topics[w].theta) {
     return Corrupt("rr file count != theta_w", w);
   }
-  const uint64_t dir_size = (count + 1) * sizeof(uint64_t);
-  const uint64_t preamble = kHeader + dir_size + 4 + num_pages * 4;
-  if (buf.size() < preamble) {
-    return Corrupt("rr file directory truncated", w);
-  }
-  std::vector<uint64_t> offsets(count + 1);
-  std::memcpy(offsets.data(), buf.data() + kHeader, dir_size);
-  if (offsets[0] != preamble) {
-    return Corrupt("rr file payload does not start after directory", w);
-  }
-  if (offsets[count] != buf.size()) {
-    return Corrupt("rr file directory does not end at EOF", w);
-  }
-  if (meta.topics[w].rr_preamble != preamble) {
-    return Corrupt("rr preamble length disagrees with meta", w);
-  }
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + kHeader, dir_size,
-                                 LoadFixed32(buf.data() + kHeader + dir_size),
-                                 "rr directory", w, stats));
-  const uint64_t payload_size = buf.size() - preamble;
-  if (num_pages != (payload_size + kRrCrcPageSize - 1) / kRrCrcPageSize) {
-    return Corrupt("rr page count disagrees with payload size", w);
-  }
-  const char* crcs = buf.data() + kHeader + dir_size + 4;
-  for (uint64_t page = 0; page < num_pages; ++page) {
-    const uint64_t begin = page * kRrCrcPageSize;
-    const uint64_t end =
-        std::min<uint64_t>(payload_size, begin + kRrCrcPageSize);
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + preamble + begin, end - begin,
-                                   LoadFixed32(crcs + page * 4), "rr page", w,
-                                   stats));
-  }
-  const auto codec = MakeCodec(codec_kind);
+  KBTIM_RETURN_IF_ERROR(
+      CheckRrPages(bytes.substr(preamble), rr.page_crcs, path, crcs));
+  const std::vector<uint64_t>& offsets = rr.offsets;
+  const auto codec = MakeCodec(meta.codec);
   std::vector<uint32_t> members;
   for (uint64_t i = 0; i < count; ++i) {
-    if (offsets[i] > offsets[i + 1]) {
-      return Corrupt("rr file offsets not monotone", w);
-    }
     KBTIM_RETURN_IF_ERROR(codec->Decode(
         std::string_view(buf.data() + offsets[i],
                          offsets[i + 1] - offsets[i]),
@@ -149,31 +104,15 @@ struct ListsFileSummary {
 
 Status VerifyListsFile(const std::string& path, const IndexMeta& meta,
                        TopicId w, ListsFileSummary* summary,
-                       IndexVerification* stats) {
-  KBTIM_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
+                       IndexVerification* stats, CrcTally* crcs) {
   std::string buf;
-  KBTIM_RETURN_IF_ERROR(file->Read(0, file->size(), &buf));
-  if (buf.size() < 4 || std::memcmp(buf.data(), "KBL2", 4) != 0) {
-    return Corrupt("lists file bad magic", w);
-  }
-  const uint64_t kHeader = 25;
-  if (buf.size() < kHeader) return Corrupt("lists file header truncated", w);
-  uint32_t topic = 0;
-  uint64_t num_entries = 0;
-  std::memcpy(&topic, buf.data() + 4, 4);
-  std::memcpy(&num_entries, buf.data() + 8, 8);
-  const auto codec_kind = static_cast<CodecKind>(buf[16]);
-  if (topic != w || codec_kind != meta.codec) {
-    return Corrupt("lists file header mismatch", w);
-  }
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 21, LoadFixed32(buf.data() + 21),
-                                 "lists header", w, stats));
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + kHeader, buf.size() - kHeader,
-                                 LoadFixed32(buf.data() + 17), "lists payload",
-                                 w, stats));
-  const auto codec = MakeCodec(codec_kind);
-  const char* p = buf.data() + kHeader;
-  const char* limit = buf.data() + buf.size();
+  KBTIM_RETURN_IF_ERROR(ReadIndexFile(path, 0, w, &buf));
+  KBTIM_ASSIGN_OR_RETURN(ListsFile lists,
+                         ParseListsFile(buf, w, meta.codec, path, crcs));
+  const uint64_t num_entries = lists.header.num_entries;
+  const auto codec = MakeCodec(meta.codec);
+  const char* p = lists.payload.data();
+  const char* limit = p + lists.payload.size();
   VertexId prev = 0;
   std::vector<uint32_t> ids;
   for (uint64_t e = 0; e < num_entries; ++e) {
@@ -217,41 +156,31 @@ Status VerifyListsFile(const std::string& path, const IndexMeta& meta,
 
 Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
                      TopicId w, const ListsFileSummary* lists,
-                     const RrFileSummary* rr, IndexVerification* stats) {
-  KBTIM_ASSIGN_OR_RETURN(auto file, RandomAccessFile::Open(path));
+                     const RrFileSummary* rr, IndexVerification* stats,
+                     CrcTally* crcs) {
   std::string buf;
-  KBTIM_RETURN_IF_ERROR(file->Read(0, file->size(), &buf));
-  if (buf.size() < 4 || std::memcmp(buf.data(), "KBI2", 4) != 0) {
-    return Corrupt("irr file bad magic", w);
-  }
-  const uint64_t kHeader = 41;
-  if (buf.size() < kHeader) return Corrupt("irr file header truncated", w);
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), 37, LoadFixed32(buf.data() + 37),
-                                 "irr header", w, stats));
-  uint32_t topic = 0, delta = 0;
-  uint64_t num_users = 0, num_partitions = 0, theta = 0;
-  std::memcpy(&topic, buf.data() + 4, 4);
-  std::memcpy(&num_users, buf.data() + 8, 8);
-  std::memcpy(&num_partitions, buf.data() + 16, 8);
-  std::memcpy(&delta, buf.data() + 24, 4);
-  const auto codec_kind = static_cast<CodecKind>(buf[28]);
-  std::memcpy(&theta, buf.data() + 29, 8);
-  if (topic != w || codec_kind != meta.codec) {
-    return Corrupt("irr header mismatch", w);
-  }
+  const uint64_t preamble = meta.topics[w].irr_preamble;
+  KBTIM_RETURN_IF_ERROR(ReadIndexFile(path, preamble, w, &buf));
+  const std::string_view bytes(buf);
+  KBTIM_ASSIGN_OR_RETURN(
+      IrrPreamble irr, ParseIrrPreamble(bytes.substr(0, preamble),
+                                        bytes.size(), w, meta.codec, path,
+                                        crcs));
+  const uint64_t num_users = irr.header.num_users;
+  const uint64_t theta = irr.header.theta;
   if (theta != meta.topics[w].theta) {
     return Corrupt("irr theta mismatch with meta", w);
   }
-  if (delta != meta.partition_size) {
+  if (irr.header.delta != meta.partition_size) {
     return Corrupt("irr partition size mismatch with meta", w);
   }
   if (lists != nullptr && num_users != lists->num_users) {
     return Corrupt("irr user count disagrees with lists file", w);
   }
 
-  // IP map.
-  const char* p = buf.data() + kHeader;
-  const char* limit = buf.data() + buf.size();
+  // IP map: exactly num_users entries fill it.
+  const char* p = irr.ip_map.data();
+  const char* limit = p + irr.ip_map.size();
   std::unordered_map<VertexId, RrId> ip;
   ip.reserve(num_users * 2);
   VertexId prev = 0;
@@ -264,6 +193,7 @@ Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
     prev += dv;
     ip.emplace(prev, first);
   }
+  if (p != limit) return Corrupt("irr IP map trailing bytes", w);
   if (lists != nullptr) {
     for (const auto& [v, head] : lists->head) {
       const auto it = ip.find(v);
@@ -275,54 +205,26 @@ Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
     }
   }
 
-  // Partition directory (entries carry a per-partition CRC and the
-  // preamble ends with a CRC of everything before it).
-  const uint64_t entry_size = 36;
-  const uint64_t dir_and_crc = num_partitions * entry_size + 4;
-  if (meta.topics[w].irr_preamble !=
-      static_cast<uint64_t>(p - buf.data()) + dir_and_crc) {
-    return Corrupt("irr preamble length disagrees with meta", w);
-  }
-  std::vector<IrrPartitionInfo> dir(num_partitions);
-  if (p + dir_and_crc > limit) {
-    return Corrupt("irr directory truncated", w);
-  }
-  for (auto& info : dir) {
-    std::memcpy(&info.offset, p, 8);
-    std::memcpy(&info.length, p + 8, 8);
-    std::memcpy(&info.num_users, p + 16, 4);
-    std::memcpy(&info.num_sets, p + 20, 4);
-    std::memcpy(&info.max_list_len, p + 24, 4);
-    std::memcpy(&info.min_list_len, p + 28, 4);
-    info.crc = LoadFixed32(p + 32);
-    p += entry_size;
-  }
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), p - buf.data(), LoadFixed32(p),
-                                 "irr preamble", w, stats));
-  p += 4;
-  uint64_t expected_offset = static_cast<uint64_t>(p - buf.data());
+  uint64_t expected_offset = preamble;
   uint64_t users_seen = 0, sets_seen = 0;
   uint32_t prev_min_len = ~0u;
-  const auto codec = MakeCodec(codec_kind);
+  const auto codec = MakeCodec(meta.codec);
   std::unordered_map<VertexId, char> seen_users;
   std::vector<char> seen_sets(theta, 0);
   uint64_t content_hash = 0;
   std::vector<uint32_t> ids;
 
-  for (uint64_t pi = 0; pi < num_partitions; ++pi) {
-    const IrrPartitionInfo& info = dir[pi];
+  // ParseIrrPreamble bounded every partition by the file.
+  for (const IrrPartitionInfo& info : irr.directory) {
     if (info.offset != expected_offset) {
       return Corrupt("irr partition offset mismatch", w);
-    }
-    if (info.offset + info.length > buf.size()) {
-      return Corrupt("irr partition overruns file", w);
     }
     if (info.max_list_len > prev_min_len) {
       return Corrupt("irr partitions not ordered by list length", w);
     }
     prev_min_len = info.min_list_len;
-    KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data() + info.offset, info.length,
-                                   info.crc, "irr partition", w, stats));
+    KBTIM_RETURN_IF_ERROR(CheckCrc(bytes.substr(info.offset, info.length),
+                                   info.crc, "irr partition", path, crcs));
     const char* q = buf.data() + info.offset;
     const char* qlimit = q + info.length;
     // IL^p
@@ -405,6 +307,7 @@ StatusOr<IndexVerification> VerifyIndex(const std::string& dir) {
   KBTIM_ASSIGN_OR_RETURN(IndexMeta meta, ReadIndexMeta(MetaFileName(dir)));
   IndexVerification stats;
   stats.format_version = meta.format_version;
+  CrcTally crcs;
   for (TopicId w = 0; w < meta.num_topics; ++w) {
     if (meta.topics[w].theta == 0) continue;
     RrFileSummary rr_summary;
@@ -412,9 +315,9 @@ StatusOr<IndexVerification> VerifyIndex(const std::string& dir) {
     const bool has_rr = meta.has_rr;
     if (has_rr) {
       KBTIM_RETURN_IF_ERROR(VerifyRrFile(RrFileName(dir, w), meta, w,
-                                         &rr_summary, &stats));
+                                         &rr_summary, &stats, &crcs));
       KBTIM_RETURN_IF_ERROR(VerifyListsFile(ListsFileName(dir, w), meta, w,
-                                            &lists_summary, &stats));
+                                            &lists_summary, &stats, &crcs));
       if (rr_summary.membership_count != lists_summary.membership_count ||
           rr_summary.membership_hash != lists_summary.membership_hash) {
         return Corrupt("rr file and inverted lists disagree", w);
@@ -424,10 +327,11 @@ StatusOr<IndexVerification> VerifyIndex(const std::string& dir) {
       KBTIM_RETURN_IF_ERROR(
           VerifyIrrFile(IrrFileName(dir, w), meta, w,
                         has_rr ? &lists_summary : nullptr,
-                        has_rr ? &rr_summary : nullptr, &stats));
+                        has_rr ? &rr_summary : nullptr, &stats, &crcs));
     }
     ++stats.topics_checked;
   }
+  stats.checksums_verified = crcs.checks;
   return stats;
 }
 

@@ -1,21 +1,13 @@
 #include "index/keyword_cache.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
-#include "storage/crc32c.h"
 #include "storage/decode_kernels.h"
 #include "storage/varint.h"
 
 namespace kbtim {
 namespace {
-
-uint32_t LoadFixed32(const char* p) {
-  uint32_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 template <typename T>
 uint64_t VectorBytes(const std::vector<T>& v) {
@@ -142,29 +134,15 @@ StatusOr<std::shared_ptr<KeywordCache>> KeywordCache::Create(
       new KeywordCache(dir, std::move(meta), options));
 }
 
-Status KeywordCache::CheckCrcLocked(const char* data, size_t n,
-                                    uint32_t stored_masked, const char* what,
-                                    const std::string& path) {
-  ++stats_.crc_checks;
-  if (crc32c::Unmask(stored_masked) == crc32c::Value(data, n)) {
-    return Status::OK();
-  }
-  ++stats_.crc_failures;
-  return Status::Corruption(std::string(what) + " checksum mismatch: " +
-                            path);
+Status KeywordCache::RecordCrcsLocked(const CrcTally& tally, Status status) {
+  stats_.crc_checks += tally.checks;
+  stats_.crc_failures += tally.failures;
+  return status;
 }
 
-Status KeywordCache::CheckCrc(const char* data, size_t n,
-                              uint32_t stored_masked, const char* what,
-                              const std::string& path) {
-  // Hash outside the lock (this may cover megabytes), account inside.
-  const bool match = crc32c::Unmask(stored_masked) == crc32c::Value(data, n);
+Status KeywordCache::RecordCrcs(const CrcTally& tally, Status status) {
   MutexLock lock(&mu_);
-  ++stats_.crc_checks;
-  if (match) return Status::OK();
-  ++stats_.crc_failures;
-  return Status::Corruption(std::string(what) + " checksum mismatch: " +
-                            path);
+  return RecordCrcsLocked(tally, std::move(status));
 }
 
 bool KeywordCache::RunOnPrefetchPool(std::function<void()> fn) {
@@ -313,7 +291,7 @@ std::shared_ptr<const void> KeywordCache::InsertBlockIfFresh(
     TouchLocked(it->second);
     return it->second.block;
   }
-  if (bytes > AdmissionLimitBytes()) {
+  if (bytes > options_.block_cache_bytes) {
     // Admission policy: serve the oversized block, keep the cache hot.
     ++stats_.admission_bypasses;
     return block;
@@ -349,91 +327,45 @@ StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::GetIrrKeyword(
 StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::LoadIrrEntry(
     TopicId topic) {
   const std::string path = IrrFileName(dir_, topic);
-  const IndexMeta::TopicMeta& tm = meta_.topics[topic];
   auto entry = std::make_shared<IrrKeywordEntry>();
   entry->topic = topic;
   KBTIM_ASSIGN_OR_RETURN(entry->file,
                          RandomAccessFile::Open(path, /*prefer_mmap=*/true));
-  if (tm.irr_preamble < kIrrHeaderSizeV2 + 4 ||
-      tm.irr_preamble > entry->file->size()) {
-    return Status::Corruption("bad IRR preamble length: " + path);
-  }
   // Single logical read: header + IP map + partition directory + the
   // trailing preamble CRC.
   std::string scratch;
-  KBTIM_ASSIGN_OR_RETURN(std::string_view buf,
-                         entry->file->ReadOrCopy(0, tm.irr_preamble,
-                                                 &scratch));
-  const char* p = buf.data();
-  const char* limit = buf.data() + buf.size();
-  if (std::memcmp(p, kIrrMagicV2, 4) != 0) {
-    return Status::Corruption("bad IRR magic: " + path);
-  }
-  // Whole-preamble CRC first (covers header + IP + directory), so every
-  // byte the parse below trusts has been verified; then the header's own
-  // CRC (cheap, and localizes the error message).
-  constexpr size_t kHeaderCrcAt = kIrrHeaderSizeV2 - 4;
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), buf.size() - 4,
-                                 LoadFixed32(limit - 4), "IRR preamble",
-                                 path));
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), kHeaderCrcAt,
-                                 LoadFixed32(p + kHeaderCrcAt), "IRR header",
-                                 path));
-  limit -= 4;
-  uint32_t file_topic = 0, delta = 0;
-  std::memcpy(&file_topic, p + 4, 4);
-  std::memcpy(&entry->num_users, p + 8, 8);
-  std::memcpy(&entry->num_partitions, p + 16, 8);
-  std::memcpy(&delta, p + 24, 4);
-  entry->codec = static_cast<CodecKind>(p[28]);
-  std::memcpy(&entry->theta_w, p + 29, 8);
-  p += kIrrHeaderSizeV2;
-  if (file_topic != topic || entry->codec != meta_.codec) {
-    return Status::Corruption("IRR header mismatch: " + path);
-  }
-
-  // Bound the raw counts against the preamble size before trusting them:
-  // each IP entry is >= 2 varint bytes and each directory entry is
-  // fixed-size, so corrupt huge counts fail here instead of overflowing /
-  // OOMing.
-  const uint64_t remaining = static_cast<uint64_t>(limit - p);
-  if (entry->num_users > remaining / 2 ||
-      entry->num_partitions > remaining / kIrrDirEntrySizeV2) {
-    return Status::Corruption("IRR preamble counts exceed file: " + path);
-  }
+  KBTIM_ASSIGN_OR_RETURN(
+      std::string_view buf,
+      ReadPreamble(*entry->file, meta_.topics[topic].irr_preamble, &scratch));
+  CrcTally tally;
+  auto parsed = ParseIrrPreamble(buf, entry->file->size(), topic,
+                                 meta_.codec, path, &tally);
+  KBTIM_RETURN_IF_ERROR(RecordCrcs(tally, parsed.status()));
+  entry->codec = parsed->header.codec;
+  entry->num_users = parsed->header.num_users;
+  entry->num_partitions = parsed->header.num_partitions;
+  entry->theta_w = parsed->header.theta;
+  entry->directory = std::move(parsed->directory);
 
   // IP map: vertex deltas accumulate from 0, so the keys arrive (and are
-  // stored) in ascending order — binary-search ready.
+  // stored) in ascending order — binary-search ready. The parse bounded
+  // num_users by the map's size.
+  const char* p = parsed->ip_map.data();
+  const char* limit = p + parsed->ip_map.size();
   entry->ip_vertex.reserve(entry->num_users);
   entry->ip_first.reserve(entry->num_users);
   VertexId prev = 0;
   for (uint64_t i = 0; i < entry->num_users; ++i) {
     uint32_t dv = 0, first = 0;
     p = GetVarint32(p, limit, &dv);
-    if (p == nullptr) return Status::Corruption("IRR IP truncated: " + path);
-    p = GetVarint32(p, limit, &first);
+    if (p != nullptr) p = GetVarint32(p, limit, &first);
     if (p == nullptr) return Status::Corruption("IRR IP truncated: " + path);
     prev += dv;
     entry->ip_vertex.push_back(prev);
     entry->ip_first.push_back(first);
   }
-
-  // Partition directory (fixed-size entries; num_partitions already
-  // bounded above, so the multiply cannot wrap).
-  if (entry->num_partitions * kIrrDirEntrySizeV2 >
-      static_cast<uint64_t>(limit - p)) {
-    return Status::Corruption("IRR directory truncated: " + path);
-  }
-  entry->directory.resize(entry->num_partitions);
-  for (auto& info : entry->directory) {
-    std::memcpy(&info.offset, p, 8);
-    std::memcpy(&info.length, p + 8, 8);
-    std::memcpy(&info.num_users, p + 16, 4);
-    std::memcpy(&info.num_sets, p + 20, 4);
-    std::memcpy(&info.max_list_len, p + 24, 4);
-    std::memcpy(&info.min_list_len, p + 28, 4);
-    std::memcpy(&info.crc, p + 32, 4);
-    p += kIrrDirEntrySizeV2;
+  if (p != limit) {
+    return Status::Corruption("IRR IP map length mismatch: " + path);
   }
   return std::shared_ptr<const IrrKeywordEntry>(std::move(entry));
 }
@@ -527,7 +459,7 @@ void KeywordCache::PrefetchIrrPartition(
                 TouchLocked(it->second);
                 decoded = std::static_pointer_cast<const IrrPartitionBlock>(
                     it->second.block);
-              } else if ((*decoded)->bytes > AdmissionLimitBytes()) {
+              } else if ((*decoded)->bytes > options_.block_cache_bytes) {
                 ++stats_.admission_bypasses;
                 admitted = false;
               } else {
@@ -581,8 +513,10 @@ KeywordCache::DecodeIrrPartition(const IrrKeywordEntry& entry,
   // Verify the exact bytes read before any decode touches them: a bit flip
   // (in the file or injected on the read) becomes kCorruption here, never
   // a silently-different seed set.
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), buf.size(), info.crc,
-                                 "IRR partition", entry.file->path()));
+  CrcTally tally;
+  KBTIM_RETURN_IF_ERROR(RecordCrcs(
+      tally,
+      CheckCrc(buf, info.crc, "IRR partition", entry.file->path(), &tally)));
   const char* p = buf.data();
   const char* limit = buf.data() + buf.size();
   const auto codec = MakeCodec(entry.codec);
@@ -691,51 +625,17 @@ Status KeywordCache::LoadRrDirectoryLocked(RrKeywordEntry* entry) {
   // full offset directory + directory CRC + page-CRC table, all verified
   // before anything is trusted; later budget growth needs no directory
   // reads at all.
-  const std::string& path = entry->rr_file->path();
-  const uint64_t preamble = meta_.topics[entry->topic].rr_preamble;
-  const uint64_t file_size = entry->rr_file->size();
-  if (preamble < kRrHeaderSizeV2 + 12 || preamble > file_size) {
-    return Status::Corruption("bad RR preamble length: " + path);
-  }
   std::string scratch;
-  KBTIM_ASSIGN_OR_RETURN(std::string_view head,
-                         entry->rr_file->ReadOrCopy(0, preamble, &scratch));
-  if (std::memcmp(head.data(), kRrMagicV2, 4) != 0) {
-    return Status::Corruption("bad RR file magic: " + path);
-  }
-  constexpr size_t kHeaderCrcAt = kRrHeaderSizeV2 - 4;
-  KBTIM_RETURN_IF_ERROR(CheckCrcLocked(head.data(), kHeaderCrcAt,
-                                       LoadFixed32(head.data() + kHeaderCrcAt),
-                                       "RR header", path));
-  uint32_t file_topic = 0;
-  uint64_t num_pages = 0;
-  std::memcpy(&file_topic, head.data() + 4, 4);
-  std::memcpy(&entry->count, head.data() + 8, 8);
-  const auto file_codec = static_cast<CodecKind>(head[16]);
-  std::memcpy(&num_pages, head.data() + 17, 8);
-  if (file_topic != entry->topic || file_codec != meta_.codec) {
-    return Status::Corruption("RR file header mismatch: " + path);
-  }
-  const uint64_t dir_size = (entry->count + 1) * sizeof(uint64_t);
-  if (preamble !=
-      kRrHeaderSizeV2 + dir_size + 4 + num_pages * sizeof(uint32_t)) {
-    return Status::Corruption("RR preamble layout mismatch: " + path);
-  }
-  const char* dir = head.data() + kRrHeaderSizeV2;
-  KBTIM_RETURN_IF_ERROR(CheckCrcLocked(dir, dir_size,
-                                       LoadFixed32(dir + dir_size),
-                                       "RR directory", path));
-  entry->offsets.resize(entry->count + 1);
-  std::memcpy(entry->offsets.data(), dir, dir_size);
-  if (entry->offsets.front() != preamble ||
-      entry->offsets.back() != file_size ||
-      num_pages !=
-          (file_size - preamble + kRrCrcPageSize - 1) / kRrCrcPageSize) {
-    return Status::Corruption("RR directory out of bounds: " + path);
-  }
-  entry->page_crcs.resize(num_pages);
-  std::memcpy(entry->page_crcs.data(), dir + dir_size + 4,
-              num_pages * sizeof(uint32_t));
+  KBTIM_ASSIGN_OR_RETURN(
+      std::string_view head,
+      ReadPreamble(*entry->rr_file, meta_.topics[entry->topic].rr_preamble,
+                   &scratch));
+  CrcTally tally;
+  auto parsed =
+      ParseRrPreamble(head, entry->rr_file->size(), entry->topic,
+                      meta_.codec, entry->rr_file->path(), &tally);
+  KBTIM_RETURN_IF_ERROR(RecordCrcsLocked(tally, parsed.status()));
+  entry->preamble = std::move(*parsed);
   return Status::OK();
 }
 
@@ -789,7 +689,8 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
     // so a cold keyword never stalls warm queries on other topics.
     RrKeywordEntry* entry = nullptr;
     KBTIM_RETURN_IF_ERROR(EnsureRrEntryLocked(topic, &entry));
-    if (min_budget > entry->count) {
+    const RrPreamble& preamble = entry->preamble;
+    if (min_budget > preamble.header.count) {
       // The file stores fewer sets than the meta's θ_w.
       return Status::Corruption("RR budget exceeds stored sets: " +
                                 entry->rr_file->path());
@@ -799,12 +700,12 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
     rr_file = entry->rr_file;
     lists_file = entry->lists_file;
     epoch = EpochLocked(topic);
-    offsets.assign(entry->offsets.begin(),
-                   entry->offsets.begin() + min_budget + 1);
+    offsets.assign(preamble.offsets.begin(),
+                   preamble.offsets.begin() + min_budget + 1);
     const uint64_t prefix = offsets[min_budget] - offsets[0];
     const uint64_t pages = (prefix + kRrCrcPageSize - 1) / kRrCrcPageSize;
-    page_crcs.assign(entry->page_crcs.begin(),
-                     entry->page_crcs.begin() + pages);
+    page_crcs.assign(preamble.page_crcs.begin(),
+                     preamble.page_crcs.begin() + pages);
   }
 
   auto block = std::make_shared<RrKeywordBlock>();
@@ -822,26 +723,9 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
   std::string scratch;
   KBTIM_ASSIGN_OR_RETURN(std::string_view raw,
                          rr_file->ReadOrCopy(base, read_len, &scratch));
-  uint64_t bad_page = page_crcs.size();
-  for (uint64_t i = 0; i < page_crcs.size(); ++i) {
-    const uint64_t begin = i * kRrCrcPageSize;
-    const uint64_t end = std::min<uint64_t>(read_len, begin + kRrCrcPageSize);
-    if (crc32c::Unmask(page_crcs[i]) !=
-        crc32c::Value(raw.data() + begin, end - begin)) {
-      bad_page = i;
-      break;
-    }
-  }
-  {
-    MutexLock lock(&mu_);
-    stats_.crc_checks +=
-        bad_page < page_crcs.size() ? bad_page + 1 : page_crcs.size();
-    if (bad_page < page_crcs.size()) ++stats_.crc_failures;
-  }
-  if (bad_page < page_crcs.size()) {
-    return Status::Corruption("RR payload page checksum mismatch: " +
-                              rr_file->path());
-  }
+  CrcTally tally;
+  KBTIM_RETURN_IF_ERROR(RecordCrcs(
+      tally, CheckRrPages(raw, page_crcs, rr_file->path(), &tally)));
   const std::string_view payload = raw.substr(0, need_len);
   const auto codec = MakeCodec(meta_.codec);
   const bool fast_pfor = meta_.codec == CodecKind::kPfor;
@@ -864,29 +748,13 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
   KBTIM_ASSIGN_OR_RETURN(
       std::string_view buf,
       lists_file->ReadOrCopy(0, lists_file->size(), &lists_scratch));
-  if (buf.size() < kListsHeaderSizeV2 ||
-      std::memcmp(buf.data(), kListsMagicV2, 4) != 0) {
-    return Status::Corruption("bad lists file magic: " + lists_path);
-  }
-  // Header CRC covers the payload CRC field; the file is read whole, so
-  // one payload CRC covers everything after the header.
-  constexpr size_t kHeaderCrcAt = kListsHeaderSizeV2 - 4;
-  KBTIM_RETURN_IF_ERROR(CheckCrc(buf.data(), kHeaderCrcAt,
-                                 LoadFixed32(buf.data() + kHeaderCrcAt),
-                                 "lists header", lists_path));
-  KBTIM_RETURN_IF_ERROR(CheckCrc(
-      buf.data() + kListsHeaderSizeV2, buf.size() - kListsHeaderSizeV2,
-      LoadFixed32(buf.data() + 17), "lists payload", lists_path));
-  uint32_t file_topic = 0;
-  uint64_t num_entries = 0;
-  std::memcpy(&file_topic, buf.data() + 4, 4);
-  std::memcpy(&num_entries, buf.data() + 8, 8);
-  const auto file_codec = static_cast<CodecKind>(buf[16]);
-  if (file_topic != topic || file_codec != meta_.codec) {
-    return Status::Corruption("lists file header mismatch: " + lists_path);
-  }
-  const char* p = buf.data() + kListsHeaderSizeV2;
-  const char* limit = buf.data() + buf.size();
+  CrcTally lists_tally;
+  auto lists = ParseListsFile(buf, topic, meta_.codec, lists_path,
+                              &lists_tally);
+  KBTIM_RETURN_IF_ERROR(RecordCrcs(lists_tally, lists.status()));
+  const uint64_t num_entries = lists->header.num_entries;
+  const char* p = lists->payload.data();
+  const char* limit = p + lists->payload.size();
   VertexId prev = 0;
   std::vector<uint32_t> ids;
   for (uint64_t e = 0; e < num_entries; ++e) {
@@ -940,7 +808,7 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
       return existing;
     }
   }
-  if (block->bytes > AdmissionLimitBytes()) {
+  if (block->bytes > options_.block_cache_bytes) {
     // Admission policy: an oversized payload prefix would evict the whole
     // working set; serve it uncached (any smaller resident prefix keeps
     // serving the budgets it covers).

@@ -16,14 +16,10 @@
 //     (file handles, preambles, directories) are NOT charged against it:
 //     they are small, persistent, and amortize across every query. Set to
 //     0 to disable block caching entirely (every query re-decodes, but
-//     still reuses handles and preambles).
-//   * max_block_fraction — admission policy: a decoded block larger than
-//     this fraction of block_cache_bytes is served to the query but NOT
-//     cached (it would evict many hot blocks to keep one cold giant);
-//     each refusal bumps stats().admission_bypasses. At the default 1.0
-//     only blocks bigger than the whole budget bypass, so the bound is
-//     otherwise enforced by evicting other blocks, never by refusing to
-//     serve a query.
+//     still reuses handles and preambles). A decoded block bigger than the
+//     whole budget is served to the query but not cached, and counted in
+//     stats().admission_bypasses; otherwise the bound is enforced by
+//     evicting other blocks, never by refusing to serve a query.
 //   * prefetch_threads — background decode workers for the IRR partition
 //     pipeline: PrefetchIrrPartition schedules read + decode of a
 //     partition on this pool so the NRA loop's compute overlaps the next
@@ -33,8 +29,10 @@
 //
 // Index files are mapped read-only, so preamble and partition parses are
 // zero-copy (RandomAccessFile::ReadView; a file that cannot be mapped is
-// read with pread). Every read is CRC-verified against the checksums the
-// format stores before anything decodes or caches it. Logical reads are
+// read with pread). Headers, directories and checksums are parsed through
+// index_format (ParseRrPreamble, ParseListsFile, ParseIrrPreamble,
+// CheckRrPages), the same checks the scrubber and VerifyIndex apply, and
+// every read is CRC-verified before anything decodes or caches it. Logical reads are
 // counted by IoCounter either way, so Table-6 style benchmarks keep
 // measuring the logical access pattern — including reads issued by the
 // prefetch workers.
@@ -70,12 +68,9 @@ namespace kbtim {
 
 /// Cache sizing/behavior knobs (see file comment for details).
 struct KeywordCacheOptions {
-  /// LRU bound on decoded block bytes (0 disables block caching).
+  /// LRU bound on decoded block bytes (0 disables block caching). Blocks
+  /// larger than the whole bound are served but not cached.
   uint64_t block_cache_bytes = uint64_t{256} << 20;
-
-  /// Admission policy: blocks larger than this fraction of
-  /// block_cache_bytes are served but not cached.
-  double max_block_fraction = 1.0;
 
   /// Background IRR-partition decode workers (0 disables prefetching).
   uint32_t prefetch_threads = 2;
@@ -101,7 +96,7 @@ struct KeywordCacheStats {
   uint64_t evictions = 0;
   /// Decoded bytes currently resident in the block cache.
   uint64_t bytes_cached = 0;
-  /// Blocks denied residency by the admission policy (served uncached).
+  /// Blocks larger than block_cache_bytes, served uncached.
   uint64_t admission_bypasses = 0;
   /// Background partition decodes scheduled by PrefetchIrrPartition.
   uint64_t prefetches_issued = 0;
@@ -310,19 +305,16 @@ class KeywordCache {
   void InvalidateTopic(TopicId topic) EXCLUDES(mu_);
 
  private:
-  /// Per-topic RR state: file handles plus the verified offset directory
-  /// and payload page CRCs, loaded once on first touch. Handles are
-  /// shared_ptr so InvalidateTopic can drop the entry while a reader that
-  /// copied them out under the lock keeps reading safely.
+  /// Per-topic RR state: file handles plus the verified preamble (offset
+  /// directory and the payload page CRCs that payload reads verify against
+  /// before decode), loaded once on first touch. Handles are shared_ptr so
+  /// InvalidateTopic can drop the entry while a reader that copied them out
+  /// under the lock keeps reading safely.
   struct RrKeywordEntry {
     TopicId topic = kInvalidTopic;
     std::shared_ptr<RandomAccessFile> rr_file;
     std::shared_ptr<RandomAccessFile> lists_file;
-    uint64_t count = 0;  // θ_w stored in the file
-    std::vector<uint64_t> offsets;  // offsets[0..count]
-    /// Masked per-page payload CRCs; payload reads verify against them
-    /// before decode.
-    std::vector<uint32_t> page_crcs;
+    RrPreamble preamble;
   };
 
   /// Key of a block in the LRU: IRR partitions use (topic, partition);
@@ -364,21 +356,12 @@ class KeywordCache {
     }
   }
 
-  /// Largest decoded block the admission policy lets into the cache.
-  uint64_t AdmissionLimitBytes() const {
-    const double limit = options_.max_block_fraction *
-                         static_cast<double>(options_.block_cache_bytes);
-    return limit >= static_cast<double>(options_.block_cache_bytes)
-               ? options_.block_cache_bytes
-               : static_cast<uint64_t>(limit);
-  }
-
   /// Inserts a block under the LRU byte bound, but only when `topic`'s
   /// epoch still equals `epoch` (captured before the decode) — a decode
   /// that raced an InvalidateTopic must not resurrect stale state.
   /// Returns the resident block for `key` (the existing one if another
   /// thread won; the caller's own block, uncached, when the epoch moved
-  /// or the admission policy bypassed it).
+  /// or the block is larger than block_cache_bytes).
   std::shared_ptr<const void> InsertBlockIfFresh(
       const BlockKey& key, std::shared_ptr<const void> block,
       uint64_t bytes, uint64_t epoch) EXCLUDES(mu_);
@@ -403,14 +386,12 @@ class KeywordCache {
   /// Current invalidation epoch of `topic` (0 until first invalidation).
   uint64_t EpochLocked(TopicId topic) const REQUIRES(mu_);
 
-  /// Verifies `data` against a stored masked CRC, bumping crc_checks /
-  /// crc_failures. `what` + `path` label the kCorruption on mismatch.
-  /// CheckCrcLocked requires mu_; CheckCrc takes it.
-  Status CheckCrcLocked(const char* data, size_t n, uint32_t stored_masked,
-                        const char* what, const std::string& path)
+  /// Adds CRC checks made through index_format to crc_checks /
+  /// crc_failures and returns `status`. RecordCrcsLocked requires mu_;
+  /// RecordCrcs takes it.
+  Status RecordCrcsLocked(const CrcTally& tally, Status status)
       REQUIRES(mu_);
-  Status CheckCrc(const char* data, size_t n, uint32_t stored_masked,
-                  const char* what, const std::string& path) EXCLUDES(mu_);
+  Status RecordCrcs(const CrcTally& tally, Status status) EXCLUDES(mu_);
 
   StatusOr<std::shared_ptr<const IrrKeywordEntry>> LoadIrrEntry(
       TopicId topic) EXCLUDES(mu_);
@@ -445,8 +426,8 @@ class KeywordCache {
   /// landed in blocks_) by the task itself.
   std::unordered_map<BlockKey, InflightDecode, BlockKeyHash> inflight_
       GUARDED_BY(mu_);
-  /// Partitions the admission policy refused: prefetching them again
-  /// would decode into the void every round, so the window skips them.
+  /// Partitions too large to cache: prefetching them again would decode
+  /// into the void every round, so the window skips them.
   std::unordered_map<BlockKey, bool, BlockKeyHash> uncacheable_
       GUARDED_BY(mu_);
   /// Bumped by InvalidateTopic; decodes capture the epoch before reading

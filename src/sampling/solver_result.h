@@ -46,8 +46,8 @@ struct SolverStats {
   /// Decoded bytes resident in the keyword cache after the query.
   uint64_t cache_bytes = 0;
 
-  /// Blocks this query decoded but the cache admission policy refused to
-  /// keep (KeywordCacheOptions::max_block_fraction).
+  /// Blocks this query decoded but the cache refused to keep because each
+  /// was larger than KeywordCacheOptions::block_cache_bytes.
   uint64_t cache_admission_bypasses = 0;
 
   /// IRR partition prefetches scheduled on the background pipeline, and

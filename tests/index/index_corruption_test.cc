@@ -10,6 +10,7 @@
 #include "index/index_builder.h"
 #include "index/irr_index.h"
 #include "index/rr_index.h"
+#include "serving/query_service.h"
 
 namespace kbtim {
 namespace {
@@ -108,11 +109,44 @@ TEST_F(IndexCorruptionTest, QueryFailsOnTruncatedListsFile) {
 }
 
 TEST_F(IndexCorruptionTest, IrrQueryFailsOnTruncatedFile) {
-  auto index = IrrIndex::Open(dir_);
-  ASSERT_TRUE(index.ok());
-  Truncate(IrrFileName(dir_, 0), 30);
-  auto result = index->Query(Query{{0}, 5});
-  EXPECT_FALSE(result.ok());
+  const std::string path = IrrFileName(dir_, 0);
+  const uint64_t size = std::filesystem::file_size(path);
+  std::string pristine(size, '\0');
+  std::ifstream(path, std::ios::binary).read(pristine.data(), size);
+  // A cut inside the preamble, and one that leaves the preamble whole but
+  // takes the tail of the last partition: both are corruption as soon as
+  // the preamble loads, whether or not a query would reach the cut.
+  for (const uint64_t keep : {uint64_t{30}, size - 64}) {
+    SCOPED_TRACE("keep " + std::to_string(keep));
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(pristine.data(), static_cast<std::streamsize>(size));
+    Truncate(path, keep);
+
+    auto index = IrrIndex::Open(dir_);
+    ASSERT_TRUE(index.ok());
+    auto result = index->Query(Query{{0}, 5});
+    EXPECT_FALSE(result.ok());
+
+    auto cache = KeywordCache::Create(dir_);
+    ASSERT_TRUE(cache.ok());
+    auto entry = (*cache)->GetIrrKeyword(0);
+    EXPECT_TRUE(entry.status().IsCorruption()) << entry.status();
+    EXPECT_GE((*cache)->stats().topic_invalidations, 1u);
+
+    // The service drops the damaged keyword and answers from the rest.
+    QueryServiceOptions options;
+    options.num_workers = 1;
+    options.cache.prefetch_threads = 0;
+    auto service = QueryService::Create(dir_, options);
+    ASSERT_TRUE(service.ok());
+    ServiceRequest request;
+    request.query = Query{{0, 1}, 5};
+    request.engine = QueryEngine::kIrr;
+    auto answer = (*service)->Execute(request);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_TRUE(answer->degraded);
+    EXPECT_EQ(answer->dropped_keywords, std::vector<TopicId>{0});
+  }
 }
 
 TEST_F(IndexCorruptionTest, IrrQueryFailsOnMangledMagic) {

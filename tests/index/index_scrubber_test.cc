@@ -1,9 +1,10 @@
 // Online scrubber: clean passes count every topic, latent corruption in
-// cold files is detected, quarantined (atomic rename to *.quarantine)
-// and healed by a deterministic single-topic rebuild to golden-equal
-// answers — on the cache's prefetch pool or inline when the cache has
-// none, and under live QueryService traffic — while topics behind an
-// open breaker are skipped, never touched.
+// cold files (a flipped byte, or another topic's file whose checksums all
+// hold) is detected, quarantined (atomic rename to *.quarantine) and
+// healed by a deterministic single-topic rebuild to golden-equal answers —
+// on the cache's prefetch pool or inline when the cache has none, and
+// under live QueryService traffic — while topics behind an open breaker
+// are skipped, never touched.
 #include "index/index_scrubber.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 #include "expr/workload.h"
@@ -71,6 +73,14 @@ class IndexScrubberTest : public ::testing::Test {
                            env_->weights(opts_.model), opts_);
       return builder.RebuildTopic(dir_, topic);
     };
+  }
+
+  /// Copies topic `from`'s lists file over topic `to`'s: every checksum
+  /// holds, but the header names the wrong topic.
+  void CopyListsFile(TopicId from, TopicId to) {
+    std::filesystem::copy_file(
+        ListsFileName(dir_, from), ListsFileName(dir_, to),
+        std::filesystem::copy_options::overwrite_existing);
   }
 
   /// XORs one byte at `offset` (from the end when negative) in `path`.
@@ -141,13 +151,28 @@ TEST_F(IndexScrubberTest, DetectsQuarantinesAndRebuildsToGoldenEqual) {
     golden_rr = std::move(*rb);
   }
 
+  // Latent damage to topic 0 that no running query touches, so only the
+  // scrubber can find it: a flip deep in the RR payload, caught by a page
+  // CRC, and topic 1's lists file copied in, caught by the header check.
   // Scrub units run on the cache's prefetch pool by default, and inline
   // when the cache has no pool (prefetch_threads = 0).
-  for (const uint32_t prefetch_threads : {2u, 0u}) {
-    SCOPED_TRACE("prefetch_threads=" + std::to_string(prefetch_threads));
-    // A latent flip deep in topic 0's RR payload — no query is running,
-    // so only the scrubber can find it.
-    FlipByte(RrFileName(dir_, 0), -64);
+  struct Case {
+    const char* damage;
+    std::function<void()> apply;
+    bool crc_caught;
+    uint32_t prefetch_threads;
+  };
+  const auto flip = [this] { FlipByte(RrFileName(dir_, 0), -64); };
+  const auto copy_lists = [this] { CopyListsFile(1, 0); };
+  const Case cases[] = {{"rr payload flip", flip, true, 2},
+                        {"rr payload flip", flip, true, 0},
+                        {"lists of topic 1", copy_lists, false, 2},
+                        {"lists of topic 1", copy_lists, false, 0}};
+  for (const Case& c : cases) {
+    const uint32_t prefetch_threads = c.prefetch_threads;
+    SCOPED_TRACE(std::string(c.damage) +
+                 ", prefetch_threads=" + std::to_string(prefetch_threads));
+    c.apply();
 
     KeywordCacheOptions copts;
     copts.prefetch_threads = prefetch_threads;
@@ -160,7 +185,7 @@ TEST_F(IndexScrubberTest, DetectsQuarantinesAndRebuildsToGoldenEqual) {
     ASSERT_TRUE(scrubber.ScrubTopic(0).ok());  // detected AND healed
 
     const IndexScrubberStats stats = scrubber.stats();
-    EXPECT_GE(stats.crc_failures, 1u);
+    EXPECT_EQ(stats.crc_failures > 0, c.crc_caught);
     EXPECT_EQ(stats.quarantines, 1u);
     EXPECT_EQ(stats.rebuilds, 1u);
     EXPECT_EQ(stats.rebuild_failures, 0u);
@@ -186,20 +211,34 @@ TEST_F(IndexScrubberTest, DetectsQuarantinesAndRebuildsToGoldenEqual) {
 }
 
 TEST_F(IndexScrubberTest, RepairOffDetectsAndReportsOnly) {
-  FlipByte(ListsFileName(dir_, 1), -16);
-  auto cache = KeywordCache::Create(dir_, {});
-  ASSERT_TRUE(cache.ok());
-  IndexScrubberOptions sopts;
-  sopts.pace_ms = 0;
-  sopts.repair = false;
-  IndexScrubber scrubber(*cache, sopts);
-  const Status s = scrubber.ScrubTopic(1);
-  ASSERT_FALSE(s.ok());
-  EXPECT_TRUE(s.IsCorruption()) << s;
-  EXPECT_GE(scrubber.stats().crc_failures, 1u);
-  EXPECT_EQ(scrubber.stats().quarantines, 0u);
-  // The corrupted file is untouched — detect-only mode never renames.
-  EXPECT_TRUE(std::filesystem::exists(ListsFileName(dir_, 1)));
+  const std::string path = ListsFileName(dir_, 1);
+  const std::string pristine = path + ".pristine";
+  std::filesystem::copy_file(path, pristine);
+  // A flipped payload byte fails its CRC; topic 0's lists file copied in
+  // passes every CRC and fails the header's topic check.
+  for (const bool flip : {true, false}) {
+    SCOPED_TRACE(flip ? "lists payload flip" : "lists of topic 0");
+    std::filesystem::copy_file(
+        pristine, path, std::filesystem::copy_options::overwrite_existing);
+    if (flip) {
+      FlipByte(path, -16);
+    } else {
+      CopyListsFile(0, 1);
+    }
+    auto cache = KeywordCache::Create(dir_, {});
+    ASSERT_TRUE(cache.ok());
+    IndexScrubberOptions sopts;
+    sopts.pace_ms = 0;
+    sopts.repair = false;
+    IndexScrubber scrubber(*cache, sopts);
+    const Status s = scrubber.ScrubTopic(1);
+    ASSERT_FALSE(s.ok());
+    EXPECT_TRUE(s.IsCorruption()) << s;
+    EXPECT_EQ(scrubber.stats().crc_failures > 0, flip);
+    EXPECT_EQ(scrubber.stats().quarantines, 0u);
+    // The corrupted file is untouched — detect-only mode never renames.
+    EXPECT_TRUE(std::filesystem::exists(path));
+  }
 }
 
 TEST_F(IndexScrubberTest, OpenBreakerSkipsTopicUntouched) {

@@ -81,8 +81,8 @@ class KeywordCacheConcurrencyTest : public ::testing::Test {
       golden_rr_.push_back(*rr);
     }
     // Stress budget: roughly three average blocks stay resident, so every
-    // sweep over all topics keeps evicting, yet no block bypasses
-    // admission (max_block_fraction stays 1.0).
+    // sweep over all topics keeps evicting, yet no block is larger than
+    // the budget, so none bypasses admission.
     stress_budget_ = std::max<uint64_t>(3 * max_block, 1);
   }
 

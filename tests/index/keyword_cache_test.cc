@@ -424,8 +424,8 @@ TEST_F(KeywordCacheTest, PrefetchedBlocksAreDeterministic) {
 }
 
 TEST_F(KeywordCacheTest, AdmissionPolicySkipsOversizedBlocks) {
-  // Learn the working-set size, then bound the cache so that every block
-  // passes the LRU but large blocks fail the admission fraction.
+  // Learn the largest block, then bound the cache just below it: that
+  // block is served but never cached, and the rest share the budget.
   auto probe_or = KeywordCache::Create(dir_);
   ASSERT_TRUE(probe_or.ok());
   auto probe = *probe_or;
@@ -440,10 +440,7 @@ TEST_F(KeywordCacheTest, AdmissionPolicySkipsOversizedBlocks) {
   ASSERT_GT(max_block, 0u);
 
   KeywordCacheOptions options;
-  options.block_cache_bytes = 4 * max_block;
-  options.max_block_fraction =
-      static_cast<double>(max_block - 1) / static_cast<double>(
-                                               options.block_cache_bytes);
+  options.block_cache_bytes = max_block - 1;
   options.prefetch_threads = 0;
   auto strict_or = KeywordCache::Create(dir_, options);
   ASSERT_TRUE(strict_or.ok());
@@ -470,8 +467,7 @@ TEST_F(KeywordCacheTest, AdmissionPolicySkipsOversizedBlocks) {
 
 TEST_F(KeywordCacheTest, AdmissionBypassSurfacesInSolverStats) {
   KeywordCacheOptions options;
-  options.block_cache_bytes = 1024;  // tiny: every real block bypasses
-  options.max_block_fraction = 0.01;
+  options.block_cache_bytes = 16;  // tiny: every real block bypasses
   options.prefetch_threads = 0;
   auto irr = IrrIndex::Open(dir_, options);
   ASSERT_TRUE(irr.ok());
