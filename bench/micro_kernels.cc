@@ -1,7 +1,7 @@
 // Google-benchmark microbenches for the kernels underneath the paper's
 // numbers: integer codecs (Table 4's compression), alias sampling and RR
-// sampling (index construction cost), greedy vs CELF max coverage
-// (query processing cost; DESIGN.md ablation), mmap vs pread index reads,
+// sampling (index construction cost), CELF seed selection over sampled RR
+// sets (query processing cost), mmap vs pread index reads,
 // and flat open-addressing vs unordered_map inverted-list lookup (the two
 // warm-query-engine kernels).
 #include <benchmark/benchmark.h>
@@ -12,8 +12,7 @@
 #include <unordered_map>
 
 #include "common/rng.h"
-#include "coverage/celf_greedy.h"
-#include "coverage/greedy_max_cover.h"
+#include "coverage/flat_celf.h"
 #include "graph/generators.h"
 #include "propagation/rr_sampler.h"
 #include "common/alias_table.h"
@@ -119,23 +118,14 @@ RrCollection BenchSets(uint32_t num_sets, uint32_t num_vertices) {
   return sets;
 }
 
-void BM_GreedyCounting(benchmark::State& state) {
+void BM_CoverageSolve(benchmark::State& state) {
   const auto sets = BenchSets(static_cast<uint32_t>(state.range(0)), 20000);
-  const InvertedRrIndex inverted(sets, 20000);
+  CoverageWorkspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GreedyMaxCover(sets, inverted, 50));
+    benchmark::DoNotOptimize(workspace.Solve(sets, 20000, 50));
   }
 }
-BENCHMARK(BM_GreedyCounting)->Arg(1 << 16)->Arg(1 << 18);
-
-void BM_GreedyCelf(benchmark::State& state) {
-  const auto sets = BenchSets(static_cast<uint32_t>(state.range(0)), 20000);
-  const InvertedRrIndex inverted(sets, 20000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CelfGreedyMaxCover(sets, inverted, 50));
-  }
-}
-BENCHMARK(BM_GreedyCelf)->Arg(1 << 16)->Arg(1 << 18);
+BENCHMARK(BM_CoverageSolve)->Arg(1 << 16)->Arg(1 << 18);
 
 // ---- mmap vs pread (the RandomAccessFile zero-copy path) ------------------
 

@@ -1,13 +1,19 @@
-// Shared lazy-forward CELF core (implementation detail of the coverage
-// module; include only from src/coverage/*.cc).
+// The library's one seed-selection loop: lazy-forward CELF greedy maximum
+// coverage (the (1 - 1/e)-approximate step of the RIS framework). WRIS and
+// RIS (CoverageWorkspace, flat_celf.h), the OPT pilot (opt_estimator) and
+// the RR index, its batches and the router (RunRrGreedy, rr_greedy.h) all
+// select seeds through RunCelf below, so they break ties alike — Theorem 3's
+// RR == IRR equality and the router goldens rely on it.
 //
-// The selection loop operates entirely on flat arrays:
+// The loop operates entirely on flat arrays:
 //   * marginal counts in one contiguous uint32 array,
-//   * RR-set coverage as a 1-bit-per-set word bitset,
 //   * the priority queue as packed uint64 entries
 //     (count << 32) | (~vertex) in a binary max-heap, so a single integer
-//     compare orders by count descending then vertex ascending — the same
-//     tie-break every solver in the library uses (Theorem 3 equality).
+//     compare orders by count descending then vertex ascending,
+//   * the selection as a 1-bit-per-vertex word bitset.
+// Which RR sets a seed covers is the caller's: `cover` walks its own
+// incidence lists (flat lists, per-keyword index blocks) and keeps its own
+// covered-set bitsets.
 //
 // Laziness uses the count itself as the generation tag: counts only ever
 // decrease, so an entry whose packed count differs from count[v] is stale.
@@ -22,9 +28,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "coverage/greedy_max_cover.h"
+#include "coverage/rr_collection.h"
 
 namespace kbtim {
+
+/// Result of a greedy max-coverage run.
+struct MaxCoverResult {
+  /// Selected seeds in selection order.
+  std::vector<VertexId> seeds;
+
+  /// Marginal number of newly covered RR sets per seed, aligned with seeds.
+  std::vector<uint64_t> marginal_coverage;
+
+  /// Total RR sets covered by the full seed set.
+  uint64_t total_covered = 0;
+};
+
 namespace celf_internal {
 
 inline uint64_t PackEntry(uint32_t count, VertexId v) {
@@ -61,7 +80,11 @@ inline void PopTop(std::vector<uint64_t>& heap) {
   if (!heap.empty()) SiftDown(heap.data(), heap.size());
 }
 
-inline bool TestAndSet(std::vector<uint64_t>& bits, RrId rr) {
+}  // namespace celf_internal
+
+/// Sets bit `rr` of `bits`; returns whether it was already set (the
+/// covered-set test of a `cover` callback).
+inline bool TestAndSetBit(std::vector<uint64_t>& bits, RrId rr) {
   uint64_t& word = bits[rr >> 6];
   const uint64_t bit = uint64_t{1} << (rr & 63);
   if (word & bit) return true;
@@ -70,12 +93,14 @@ inline bool TestAndSet(std::vector<uint64_t>& bits, RrId rr) {
 }
 
 /// Runs lazy-forward CELF over `count` (the initial marginal coverage per
-/// vertex, modified in place) selecting up to k seeds. `list_of(v)` must
-/// return the [begin, end) RrId range of the sets containing v; `sets`
-/// resolves covered sets back to their members. `covered`, `heap` and
-/// `selected` are caller-owned scratch so persistent workspaces can reuse
-/// their capacity; they are (re)initialized here. Output (including the
-/// pad-to-k behaviour) is identical to GreedyMaxCover.
+/// vertex, modified in place) selecting up to k seeds, ties toward the
+/// smaller vertex id. `cover(v)` is called once per selected vertex: it
+/// must mark v's not-yet-covered sets and decrement count[u] once for
+/// every member u of each newly covered set. `heap` and `selected` are
+/// caller-owned scratch so persistent workspaces can reuse their capacity;
+/// they are (re)initialized here. When coverage runs out before k seeds,
+/// the rest are the smallest unselected ids with marginal 0 (Algorithm 2
+/// returns exactly k).
 ///
 /// Pruned mode (candidates != nullptr, min_select > 0): only vertices set
 /// in the `candidates` bitmap enter the heap, and a selection is
@@ -86,16 +111,15 @@ inline bool TestAndSet(std::vector<uint64_t>& bits, RrId rr) {
 /// the unpruned greedy. The moment the best candidate falls below the
 /// floor (or candidates run out early) the run stops with *aborted = true
 /// and a partial (still exact) prefix; the caller restarts unpruned.
-template <typename ListOf>
-MaxCoverResult RunCelf(const RrCollection& sets, VertexId num_vertices,
-                       uint32_t k, std::vector<uint32_t>& count,
-                       ListOf list_of, std::vector<uint64_t>& covered,
+template <typename Cover>
+MaxCoverResult RunCelf(VertexId num_vertices, uint32_t k,
+                       std::vector<uint32_t>& count, Cover cover,
                        std::vector<uint64_t>& heap,
                        std::vector<uint64_t>& selected,
                        const std::vector<uint64_t>* candidates = nullptr,
                        uint32_t min_select = 0, bool* aborted = nullptr) {
+  using namespace celf_internal;
   MaxCoverResult result;
-  covered.assign((sets.size() + 63) / 64, 0);
   selected.assign((static_cast<size_t>(num_vertices) + 63) / 64, 0);
   heap.clear();
   if (candidates == nullptr) {
@@ -139,11 +163,7 @@ MaxCoverResult RunCelf(const RrCollection& sets, VertexId num_vertices,
     result.seeds.push_back(v);
     result.marginal_coverage.push_back(cur);
     result.total_covered += cur;
-    const auto [begin, end] = list_of(v);
-    for (const RrId* p = begin; p != end; ++p) {
-      if (TestAndSet(covered, *p)) continue;
-      for (VertexId u : sets.Set(*p)) --count[u];
-    }
+    cover(v);
   }
   if (min_select > 0 && result.seeds.size() < k) {
     // Below the floor an excluded vertex might legitimately win; the
@@ -163,7 +183,6 @@ MaxCoverResult RunCelf(const RrCollection& sets, VertexId num_vertices,
   return result;
 }
 
-}  // namespace celf_internal
 }  // namespace kbtim
 
 #endif  // KBTIM_COVERAGE_CELF_CORE_H_

@@ -3,25 +3,55 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <span>
 #include <thread>
 
 #include "coverage/celf_core.h"
-#include "coverage/celf_greedy.h"
 #include "coverage/rr_collection.h"
 
 namespace kbtim {
+namespace {
+
+/// RunCelf's cover step over an RrCollection: marks the not-yet-covered
+/// sets among `ids` (one vertex's incidence list) and takes each newly
+/// covered set's members off their counts.
+void CoverSets(const RrCollection& sets, std::span<const RrId> ids,
+               std::vector<uint64_t>& covered, std::vector<uint32_t>& count) {
+  for (RrId rr : ids) {
+    if (TestAndSetBit(covered, rr)) continue;
+    for (VertexId u : sets.Set(rr)) --count[u];
+  }
+}
+
+}  // namespace
 
 MaxCoverResult CoverageWorkspace::Solve(const RrCollection& sets,
                                         VertexId num_vertices, uint32_t k,
                                         ThreadPool* pool) {
+  covered_.assign((sets.size() + 63) / 64, 0);
   if (sets.total_items() > std::numeric_limits<uint32_t>::max()) {
-    // The 32-bit incidence offsets cannot address this collection; fall
-    // back to the 64-bit reference path (no workspace reuse, same answer).
+    // The 32-bit incidence offsets cannot address this collection; run the
+    // same loop over a 64-bit InvertedRrIndex (same answer). A vertex is
+    // in at most sets.size() < 2^32 sets, so its count fits 32 bits.
     const InvertedRrIndex inverted(sets, num_vertices);
-    return CelfGreedyMaxCover(sets, inverted, k);
+    count_.resize(num_vertices);
+    for (VertexId v = 0; v < num_vertices; ++v) {
+      count_[v] = static_cast<uint32_t>(inverted.ListLength(v));
+    }
+    auto cover = [&](VertexId v) {
+      CoverSets(sets, inverted.Sets(v), covered_, count_);
+    };
+    return RunCelf(num_vertices, k, count_, cover, heap_, selected_);
   }
   const size_t n = num_vertices;
   const auto num_sets = static_cast<RrId>(sets.size());
+  // v's incidence list: the lists lie contiguously in vertex order, so it
+  // starts where the previous vertex's ends.
+  auto cover = [&](VertexId v) {
+    const uint32_t begin = v == 0 ? 0 : list_end_[v - 1];
+    CoverSets(sets, {ids_.data() + begin, ids_.data() + list_end_[v]},
+              covered_, count_);
+  };
 
   // Pass 1: vertex frequencies over the flat item span (these double as
   // CELF's initial marginals).
@@ -85,18 +115,15 @@ MaxCoverResult CoverageWorkspace::Solve(const RrCollection& sets,
       }
     }
     bool aborted = false;
-    MaxCoverResult result = celf_internal::RunCelf(
-        sets, num_vertices, k, count_,
-        [this](VertexId v) {
-          const uint32_t begin = v == 0 ? 0 : list_end_[v - 1];
-          return std::pair{ids_.data() + begin, ids_.data() + list_end_[v]};
-        },
-        covered_, heap_, selected_, &candidates_, threshold, &aborted);
+    MaxCoverResult result =
+        RunCelf(num_vertices, k, count_, cover, heap_, selected_,
+                &candidates_, threshold, &aborted);
     if (!aborted) return result;
     // Selection dipped below the shortlist floor: redo without pruning
-    // (counts were consumed by the partial run, so recompute).
+    // (the partial run consumed counts and coverage, so recompute).
     count_.assign(n, 0);
     for (VertexId v : sets.items()) ++count_[v];
+    covered_.assign(covered_.size(), 0);
   }
 
   ids_.resize(sets.total_items());
@@ -173,13 +200,7 @@ MaxCoverResult CoverageWorkspace::Solve(const RrCollection& sets,
     pool->Wait();
   }
 
-  return celf_internal::RunCelf(
-      sets, num_vertices, k, count_,
-      [this](VertexId v) {
-        const uint32_t begin = v == 0 ? 0 : list_end_[v - 1];
-        return std::pair{ids_.data() + begin, ids_.data() + list_end_[v]};
-      },
-      covered_, heap_, selected_);
+  return RunCelf(num_vertices, k, count_, cover, heap_, selected_);
 }
 
 namespace {

@@ -1,14 +1,9 @@
-// Flat-array seed selection: one reusable workspace that fuses the
-// inverted-index build and the lazy-forward CELF loop.
-//
-// The online solvers (WRIS/RIS) used to build a fresh InvertedRrIndex
-// (64-bit offsets + a cursor array) and run a std::priority_queue CELF per
-// query. For a query stream, everything here is amortizable: the workspace
-// keeps the count array, the 32-bit incidence arrays, the coverage bitset
-// and the packed heap across Solve calls, so steady-state seed selection
-// allocates nothing and touches half the memory. Results are identical to
-// GreedyMaxCover / CelfGreedyMaxCover (same tie-breaking; tests assert
-// equality), which stay available as references.
+// Flat-array seed selection for sampled RR sets: one reusable workspace
+// that builds the vertex -> RR incidence in flat 32-bit scratch and runs the
+// shared CELF loop (celf_core.h) over it. WRIS, RIS and the OPT pilot
+// select seeds here. The workspace keeps the count array, the incidence
+// arrays, the coverage bitset and the packed heap across Solve calls, so
+// steady-state seed selection allocates nothing.
 #ifndef KBTIM_COVERAGE_FLAT_CELF_H_
 #define KBTIM_COVERAGE_FLAT_CELF_H_
 
@@ -16,7 +11,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "coverage/greedy_max_cover.h"
+#include "coverage/celf_core.h"
 
 namespace kbtim {
 
@@ -25,7 +20,8 @@ class CoverageWorkspace {
  public:
   /// Greedy max-coverage of `sets` (vertex ids < num_vertices), selecting
   /// up to k seeds. Builds the vertex -> RR incidence internally in flat
-  /// scratch; equivalent output to GreedyMaxCover.
+  /// scratch; the answer is RunCelf's: exact greedy, ties toward the
+  /// smaller vertex id, padded to k.
   ///
   /// With a pool, the incidence build (the dominant cost — the CELF
   /// selection itself is the cheap tail) runs as a parallel two-pass

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "storage/block_file.h"
 #include "storage/crc32c.h"
@@ -189,11 +190,21 @@ StatusOr<QueryBudget> ComputeQueryBudget(const IndexMeta& meta,
     return Status::FailedPrecondition(
         "no query keyword has stored RR sets");
   }
+  // RR ids and the greedy's counts are 32-bit, and a vertex's count is at
+  // most Σ θ^Q_w. θ^Q is checked first, which also keeps the casts below
+  // in range.
+  constexpr uint64_t kMaxSets = std::numeric_limits<uint32_t>::max();
+  auto too_large = [] {
+    return Status::InvalidArgument(
+        "query needs more than the 2^32-1 RR sets one query can use");
+  };
+  if (theta_q > static_cast<double>(kMaxSets)) return too_large();
 
   QueryBudget budget;
   budget.theta_q = static_cast<uint64_t>(theta_q);
   budget.phi_q = phi_q;
   budget.per_keyword.reserve(query.topics.size());
+  uint64_t total = 0;
   for (TopicId w : query.topics) {
     const auto& t = meta.topics[w];
     const double pw = t.phi / phi_q;
@@ -204,7 +215,9 @@ StatusOr<QueryBudget> ComputeQueryBudget(const IndexMeta& meta,
       tw = std::max<uint64_t>(tw, 1);
     }
     budget.per_keyword.emplace_back(w, tw);
+    total += tw;
   }
+  if (total > kMaxSets) return too_large();
   return budget;
 }
 
@@ -262,7 +275,8 @@ std::string EncodeRrPreamble(TopicId topic, CodecKind codec,
 
 StatusOr<RrPreamble> ParseRrPreamble(std::string_view bytes,
                                      uint64_t file_size, TopicId topic,
-                                     CodecKind codec, const std::string& path,
+                                     CodecKind codec, uint64_t theta,
+                                     const std::string& path,
                                      CrcTally* tally) {
   // The smallest preamble: header, one offset, the directory CRC.
   if (bytes.size() < kRrHeaderSize + sizeof(uint64_t) + 4 ||
@@ -285,6 +299,9 @@ StatusOr<RrPreamble> ParseRrPreamble(std::string_view bytes,
   h.num_pages = Take<uint64_t>(&r);
   if (h.topic != topic || h.codec != codec) {
     return Corrupt("RR file header mismatch", path);
+  }
+  if (h.count != theta) {
+    return Corrupt("RR file count differs from the meta's theta_w", path);
   }
   // Bound both counts by the bytes present before multiplying them.
   const uint64_t rest = bytes.size() - kRrHeaderSize - 4;
@@ -410,7 +427,7 @@ std::string EncodeIrrPreamble(const IrrHeader& header, std::string_view ip_map,
 
 StatusOr<IrrPreamble> ParseIrrPreamble(std::string_view bytes,
                                        uint64_t file_size, TopicId topic,
-                                       CodecKind codec,
+                                       CodecKind codec, uint64_t theta,
                                        const std::string& path,
                                        CrcTally* tally) {
   if (bytes.size() < kIrrHeaderSize + 4 || bytes.size() > file_size) {
@@ -441,6 +458,9 @@ StatusOr<IrrPreamble> ParseIrrPreamble(std::string_view bytes,
   h.theta = Take<uint64_t>(&r);
   if (h.topic != topic || h.codec != codec) {
     return Corrupt("IRR header mismatch", path);
+  }
+  if (h.theta != theta) {
+    return Corrupt("IRR theta differs from the meta's theta_w", path);
   }
   // The directory ends at the preamble CRC; the IP map fills the rest, and
   // each IP entry is two varints of a byte or more.

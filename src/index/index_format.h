@@ -148,7 +148,9 @@ struct QueryBudget {
 };
 
 /// Validates the query against the meta (topic range, 1 <= k <= K) and
-/// computes the budgets. Fails if no query keyword has index mass.
+/// computes the budgets. Fails if no query keyword has index mass, and
+/// with kInvalidArgument if θ^Q or Σ θ^Q_w exceeds 2^32-1 (the greedy
+/// counts RR sets in 32 bits).
 StatusOr<QueryBudget> ComputeQueryBudget(const IndexMeta& meta,
                                          const Query& query);
 
@@ -210,13 +212,15 @@ std::string EncodeRrPreamble(TopicId topic, CodecKind codec,
                              std::string_view payload);
 
 /// Parses and verifies the preamble `bytes` of an rr_<w>.dat of
-/// `file_size` bytes: magic, header and directory CRCs, topic and codec,
-/// count and num_pages bounded by the preamble before they are used, a
-/// sorted directory from the preamble's end to EOF, and num_pages matching
-/// the payload size. The page CRCs are returned, not checked.
+/// `file_size` bytes: magic, header and directory CRCs, topic, codec and
+/// count (== the meta's `theta`), num_pages bounded by the preamble before
+/// it is used, a sorted directory from the preamble's end to EOF, and
+/// num_pages matching the payload size. The page CRCs are returned, not
+/// checked.
 StatusOr<RrPreamble> ParseRrPreamble(std::string_view bytes,
                                      uint64_t file_size, TopicId topic,
-                                     CodecKind codec, const std::string& path,
+                                     CodecKind codec, uint64_t theta,
+                                     const std::string& path,
                                      CrcTally* tally);
 
 /// Verifies the leading payload pages of `payload` (a read starting at the
@@ -291,7 +295,8 @@ std::string EncodeIrrPreamble(const IrrHeader& header, std::string_view ip_map,
                               std::string_view partitions);
 
 /// Parses and verifies the preamble `bytes` of an irr_<w>.dat of
-/// `file_size` bytes: magic, preamble and header CRCs, topic and codec.
+/// `file_size` bytes: magic, preamble and header CRCs, topic, codec and
+/// theta (== the meta's `theta`).
 /// The directory is found from the preamble's end, num_partitions and
 /// num_users are bounded by the bytes present, and every entry must lie in
 /// the file after the preamble with user and set counts of at most
@@ -299,7 +304,7 @@ std::string EncodeIrrPreamble(const IrrHeader& header, std::string_view ip_map,
 /// partition CRCs are returned, not checked.
 StatusOr<IrrPreamble> ParseIrrPreamble(std::string_view bytes,
                                        uint64_t file_size, TopicId topic,
-                                       CodecKind codec,
+                                       CodecKind codec, uint64_t theta,
                                        const std::string& path,
                                        CrcTally* tally);
 

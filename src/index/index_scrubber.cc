@@ -65,8 +65,8 @@ Status IndexScrubber::VerifyRrFile(TopicId topic) {
       std::string_view head,
       ReadPreamble(*file, meta.topics[topic].rr_preamble, &scratch));
   CrcTally tally;
-  auto parsed =
-      ParseRrPreamble(head, file->size(), topic, meta.codec, path, &tally);
+  auto parsed = ParseRrPreamble(head, file->size(), topic, meta.codec,
+                                meta.topics[topic].theta, path, &tally);
   if (!parsed.ok()) return Account(tally, parsed.status());
   std::string payload_scratch;
   auto payload = file->ReadOrCopy(head.size(), file->size() - head.size(),
@@ -99,8 +99,8 @@ Status IndexScrubber::VerifyIrrFile(TopicId topic) {
       std::string_view pre,
       ReadPreamble(*file, meta.topics[topic].irr_preamble, &scratch));
   CrcTally tally;
-  auto parsed =
-      ParseIrrPreamble(pre, file->size(), topic, meta.codec, path, &tally);
+  auto parsed = ParseIrrPreamble(pre, file->size(), topic, meta.codec,
+                                 meta.topics[topic].theta, path, &tally);
   if (!parsed.ok()) return Account(tally, parsed.status());
   Status status;
   for (const IrrPartitionInfo& info : parsed->directory) {

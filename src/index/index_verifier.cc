@@ -61,12 +61,10 @@ Status VerifyRrFile(const std::string& path, const IndexMeta& meta,
   KBTIM_RETURN_IF_ERROR(ReadIndexFile(path, preamble, w, &buf));
   const std::string_view bytes(buf);
   KBTIM_ASSIGN_OR_RETURN(
-      RrPreamble rr, ParseRrPreamble(bytes.substr(0, preamble), bytes.size(),
-                                     w, meta.codec, path, crcs));
+      RrPreamble rr,
+      ParseRrPreamble(bytes.substr(0, preamble), bytes.size(), w, meta.codec,
+                      meta.topics[w].theta, path, crcs));
   const uint64_t count = rr.header.count;
-  if (count != meta.topics[w].theta) {
-    return Corrupt("rr file count != theta_w", w);
-  }
   KBTIM_RETURN_IF_ERROR(
       CheckRrPages(bytes.substr(preamble), rr.page_crcs, path, crcs));
   const std::vector<uint64_t>& offsets = rr.offsets;
@@ -163,14 +161,11 @@ Status VerifyIrrFile(const std::string& path, const IndexMeta& meta,
   KBTIM_RETURN_IF_ERROR(ReadIndexFile(path, preamble, w, &buf));
   const std::string_view bytes(buf);
   KBTIM_ASSIGN_OR_RETURN(
-      IrrPreamble irr, ParseIrrPreamble(bytes.substr(0, preamble),
-                                        bytes.size(), w, meta.codec, path,
-                                        crcs));
+      IrrPreamble irr,
+      ParseIrrPreamble(bytes.substr(0, preamble), bytes.size(), w, meta.codec,
+                       meta.topics[w].theta, path, crcs));
   const uint64_t num_users = irr.header.num_users;
   const uint64_t theta = irr.header.theta;
-  if (theta != meta.topics[w].theta) {
-    return Corrupt("irr theta mismatch with meta", w);
-  }
   if (irr.header.delta != meta.partition_size) {
     return Corrupt("irr partition size mismatch with meta", w);
   }

@@ -158,10 +158,6 @@ Status OpenKeyword(KeywordCache& cache, TopicId topic, uint64_t budget,
   state->eager = eager;
   if (budget == 0) return Status::OK();
   KBTIM_ASSIGN_OR_RETURN(state->entry, cache.GetIrrKeyword(topic));
-  if (budget > state->entry->theta_w) {
-    return Status::Corruption("IRR budget exceeds stored sets: " +
-                              IrrFileName(cache.dir(), topic));
-  }
   state->kb = state->entry->directory.empty()
                   ? 0
                   : state->entry->directory[0].max_list_len;

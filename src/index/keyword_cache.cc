@@ -339,7 +339,8 @@ StatusOr<std::shared_ptr<const IrrKeywordEntry>> KeywordCache::LoadIrrEntry(
       ReadPreamble(*entry->file, meta_.topics[topic].irr_preamble, &scratch));
   CrcTally tally;
   auto parsed = ParseIrrPreamble(buf, entry->file->size(), topic,
-                                 meta_.codec, path, &tally);
+                                 meta_.codec, meta_.topics[topic].theta, path,
+                                 &tally);
   KBTIM_RETURN_IF_ERROR(RecordCrcs(tally, parsed.status()));
   entry->codec = parsed->header.codec;
   entry->num_users = parsed->header.num_users;
@@ -631,9 +632,9 @@ Status KeywordCache::LoadRrDirectoryLocked(RrKeywordEntry* entry) {
       ReadPreamble(*entry->rr_file, meta_.topics[entry->topic].rr_preamble,
                    &scratch));
   CrcTally tally;
-  auto parsed =
-      ParseRrPreamble(head, entry->rr_file->size(), entry->topic,
-                      meta_.codec, entry->rr_file->path(), &tally);
+  auto parsed = ParseRrPreamble(
+      head, entry->rr_file->size(), entry->topic, meta_.codec,
+      meta_.topics[entry->topic].theta, entry->rr_file->path(), &tally);
   KBTIM_RETURN_IF_ERROR(RecordCrcsLocked(tally, parsed.status()));
   entry->preamble = std::move(*parsed);
   return Status::OK();
@@ -689,12 +690,8 @@ KeywordCache::GetRrKeywordImpl(TopicId topic, uint64_t min_budget) {
     // so a cold keyword never stalls warm queries on other topics.
     RrKeywordEntry* entry = nullptr;
     KBTIM_RETURN_IF_ERROR(EnsureRrEntryLocked(topic, &entry));
+    // Parse matched the file's count to θ_w, which bounds min_budget.
     const RrPreamble& preamble = entry->preamble;
-    if (min_budget > preamble.header.count) {
-      // The file stores fewer sets than the meta's θ_w.
-      return Status::Corruption("RR budget exceeds stored sets: " +
-                                entry->rr_file->path());
-    }
     // Shared handle copies stay valid unlocked even if InvalidateTopic
     // erases the entry (and drops its references) mid-decode.
     rr_file = entry->rr_file;

@@ -1,9 +1,10 @@
 #include "index/rr_greedy.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
-#include "coverage/rr_collection.h"
+#include "coverage/celf_core.h"
 
 namespace kbtim {
 
@@ -12,26 +13,24 @@ SeedSetResult RunRrGreedy(
     const std::unordered_map<TopicId,
                              std::shared_ptr<const RrKeywordBlock>>& loaded,
     VertexId num_vertices) {
-  // Per-query coverage bitmaps sized to the query budget.
+  // Per-query coverage bitsets sized to each keyword's budget.
   struct QueryKeyword {
     const RrKeywordBlock* data;
     uint64_t budget;
-    std::vector<char> covered;
+    std::vector<uint64_t> covered;
   };
   std::vector<QueryKeyword> keywords;
   uint64_t total_loaded = 0;
   for (const auto& [topic, tw] : budget.per_keyword) {
     if (tw == 0) continue;
     const auto it = loaded.find(topic);
-    QueryKeyword qk;
-    qk.data = it->second.get();
-    qk.budget = tw;
-    qk.covered.assign(tw, 0);
-    keywords.push_back(std::move(qk));
+    keywords.push_back({it->second.get(), tw,
+                        std::vector<uint64_t>((tw + 63) / 64, 0)});
     total_loaded += tw;
   }
 
-  std::vector<uint64_t> count(num_vertices, 0);
+  // A count is at most Σ θ^Q_w, which ComputeQueryBudget keeps below 2^32.
+  std::vector<uint32_t> count(num_vertices, 0);
   for (const auto& qk : keywords) {
     const RrKeywordBlock& kw = *qk.data;
     for (size_t i = 0; i + 1 < kw.list_offsets.size(); ++i) {
@@ -41,52 +40,31 @@ SeedSetResult RunRrGreedy(
         end = std::lower_bound(begin, end,
                                static_cast<RrId>(qk.budget));
       }
-      count[kw.list_vertex[i]] += static_cast<uint64_t>(end - begin);
+      count[kw.list_vertex[i]] += static_cast<uint32_t>(end - begin);
     }
   }
-  std::vector<VertexId> candidates;
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    if (count[v] > 0) candidates.push_back(v);
-  }
-  std::vector<char> selected(num_vertices, 0);
+  std::vector<uint64_t> heap, selected;
+  MaxCoverResult cover = RunCelf(
+      num_vertices, query.k, count,
+      [&](VertexId v) {
+        for (auto& qk : keywords) {
+          for (RrId rr : qk.data->ListOf(v, qk.budget)) {
+            if (TestAndSetBit(qk.covered, rr)) continue;
+            for (VertexId u : qk.data->SetMembers(rr)) --count[u];
+          }
+        }
+      },
+      heap, selected);
 
   SeedSetResult result;
-  uint64_t total_covered = 0;
   const double scale =
       budget.phi_q / static_cast<double>(std::max<uint64_t>(1, total_loaded));
-  for (uint32_t round = 0; round < query.k; ++round) {
-    VertexId best = kInvalidVertex;
-    uint64_t best_count = 0;
-    for (VertexId v : candidates) {
-      if (!selected[v] && count[v] > best_count) {
-        best = v;
-        best_count = count[v];
-      }
-    }
-    if (best == kInvalidVertex) break;
-    selected[best] = 1;
-    result.seeds.push_back(best);
-    result.marginal_gains.push_back(static_cast<double>(best_count) *
-                                    scale);
-    total_covered += best_count;
-    for (auto& qk : keywords) {
-      for (RrId rr : qk.data->ListOf(best, qk.budget)) {
-        if (qk.covered[rr]) continue;
-        qk.covered[rr] = 1;
-        for (VertexId u : qk.data->SetMembers(rr)) --count[u];
-      }
-    }
+  result.seeds = std::move(cover.seeds);
+  for (uint64_t gain : cover.marginal_coverage) {
+    result.marginal_gains.push_back(static_cast<double>(gain) * scale);
   }
-  // Pad with the smallest unselected ids (Algorithm 2 returns exactly k).
-  for (VertexId v = 0; v < num_vertices && result.seeds.size() < query.k;
-       ++v) {
-    if (!selected[v]) {
-      selected[v] = 1;
-      result.seeds.push_back(v);
-      result.marginal_gains.push_back(0.0);
-    }
-  }
-  result.estimated_influence = static_cast<double>(total_covered) * scale;
+  result.estimated_influence =
+      static_cast<double>(cover.total_covered) * scale;
   result.stats.theta = budget.theta_q;
   result.stats.rr_sets_loaded = total_loaded;
   return result;

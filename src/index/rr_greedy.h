@@ -4,8 +4,11 @@
 // greedy over the same inputs: the in-process RrIndex::Query/BatchQuery
 // path and the network Router, which gathers RrKeywordBlocks from remote
 // shards and must return byte-identical seed sets to a local query (the
-// PR 10 golden-equality contract). Any change to selection order,
-// tie-breaking or padding here changes both paths together.
+// router goldens pin this). It is the library's shared CELF loop
+// (coverage/celf_core.h) over the union of the keywords' budgeted
+// prefixes, covering through each block's ListOf and SetMembers, so its
+// selection order, tie-breaking and padding are those of every other
+// solver.
 #ifndef KBTIM_INDEX_RR_GREEDY_H_
 #define KBTIM_INDEX_RR_GREEDY_H_
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "coverage/celf_greedy.h"
+#include "coverage/flat_celf.h"
 #include "coverage/rr_collection.h"
 
 namespace kbtim {
@@ -20,6 +20,7 @@ StatusOr<double> EstimateOptLowerBound(const Graph& graph,
   Rng rng(options.seed);
   RrCollection sets;
   std::vector<VertexId> scratch;
+  CoverageWorkspace workspace;  // reused across the doubling rounds
   const double total_weight = roots.total_weight();
 
   double prev = -1.0;
@@ -30,9 +31,8 @@ StatusOr<double> EstimateOptLowerBound(const Graph& graph,
       sampler.Sample(roots.Sample(rng), rng, &scratch);
       sets.Add(scratch);
     }
-    InvertedRrIndex inverted(sets, graph.num_vertices());
-    const MaxCoverResult cover = CelfGreedyMaxCover(sets, inverted,
-                                                    options.k);
+    const MaxCoverResult cover =
+        workspace.Solve(sets, graph.num_vertices(), options.k);
     estimate = static_cast<double>(cover.total_covered) /
                static_cast<double>(sets.size()) * total_weight;
     const bool stable =

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "coverage/celf_greedy.h"
+#include "testing/reference_greedy.h"
 
 namespace kbtim {
 namespace {
@@ -40,15 +40,11 @@ TEST(CoverageWorkspaceTest, MatchesReferenceGreedyRandomized) {
     const size_t num_sets = rng.NextU32Below(400);
     const uint32_t k = 1 + rng.NextU32Below(12);
     const RrCollection sets = RandomSets(rng, num_sets, n, 8);
-    const InvertedRrIndex inverted(sets, n);
 
-    const MaxCoverResult ref = GreedyMaxCover(sets, inverted, k);
-    const MaxCoverResult celf = CelfGreedyMaxCover(sets, inverted, k);
+    const MaxCoverResult ref = testing::ReferenceGreedy(sets, n, k);
     // One workspace reused across every round: stale scratch from the
     // previous (differently sized) problem must never leak through.
-    const MaxCoverResult flat = ws.Solve(sets, n, k);
-    ExpectSameCover(ref, celf);
-    ExpectSameCover(ref, flat);
+    ExpectSameCover(ref, ws.Solve(sets, n, k));
   }
 }
 
@@ -97,8 +93,7 @@ TEST(CoverageWorkspaceTest, PrunedShortlistStaysExactIncludingRestarts) {
       // k near the coverable-vertex count maximizes floor hits (restarts).
       const uint32_t k = 1 + rng.NextU32Below(20);
       const RrCollection sets = RandomSets(rng, num_sets, n, 6);
-      const InvertedRrIndex inverted(sets, n);
-      ExpectSameCover(GreedyMaxCover(sets, inverted, k),
+      ExpectSameCover(testing::ReferenceGreedy(sets, n, k),
                       ws.Solve(sets, n, k));
     }
   }
@@ -109,15 +104,13 @@ TEST(CoverageWorkspaceTest, ShrinkRetainedCapsScratch) {
   Rng rng(17);
   const RrCollection big = RandomSets(rng, 5000, 300, 12);
   ASSERT_GT(big.total_items(), 10000u);
-  const InvertedRrIndex inverted(big, 300);
-  const MaxCoverResult ref = GreedyMaxCover(big, inverted, 6);
+  const MaxCoverResult ref = testing::ReferenceGreedy(big, 300, 6);
   ExpectSameCover(ref, ws.Solve(big, 300, 6));
 
   ws.ShrinkRetained(1024);
   // Still correct after shrinking, on both small and re-grown problems.
   const RrCollection small = RandomSets(rng, 50, 40, 4);
-  const InvertedRrIndex small_inv(small, 40);
-  ExpectSameCover(GreedyMaxCover(small, small_inv, 3),
+  ExpectSameCover(testing::ReferenceGreedy(small, 40, 3),
                   ws.Solve(small, 40, 3));
   ExpectSameCover(ref, ws.Solve(big, 300, 6));
 }

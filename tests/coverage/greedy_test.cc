@@ -1,11 +1,14 @@
-#include "coverage/greedy_max_cover.h"
-
+// The library's greedy (CoverageWorkspace over the shared CELF loop) on
+// hand examples, against the counting reference greedy on random sets, and
+// against the brute-force optimum: submodular gains and the (1 - 1/e)
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "coverage/celf_greedy.h"
+#include "coverage/flat_celf.h"
+#include "testing/reference_greedy.h"
 
 namespace kbtim {
 namespace {
@@ -57,7 +60,7 @@ uint64_t BruteForceBestCoverage(const RrCollection& sets,
   return best;
 }
 
-TEST(GreedyMaxCoverTest, HandExample) {
+TEST(GreedyTest, HandExample) {
   // Paper Example 2: Gd = {b,d,f}, Ge = {e}, Gd = {d,f}, Gb = {a,b,e} with
   // a=0..g=6. The optimum ({e,f} = {4,5}) covers all four sets; greedy with
   // smallest-id tie-breaking picks b first and covers three — within the
@@ -67,29 +70,26 @@ TEST(GreedyMaxCoverTest, HandExample) {
   sets.Add(std::vector<VertexId>{4});
   sets.Add(std::vector<VertexId>{3, 5});
   sets.Add(std::vector<VertexId>{0, 1, 4});
-  const InvertedRrIndex inv(sets, 7);
-  const auto result = GreedyMaxCover(sets, inv, 2);
+  const auto result = CoverageWorkspace().Solve(sets, 7, 2);
   ASSERT_EQ(result.seeds.size(), 2u);
   EXPECT_EQ(result.seeds[0], 1u);  // b: covers sets 0 and 3, smallest id
   EXPECT_GE(result.total_covered, 3u);
   EXPECT_EQ(BruteForceBestCoverage(sets, 7, 2), 4u);  // {e,f} optimum
 }
 
-TEST(GreedyMaxCoverTest, TieBreaksTowardSmallerId) {
+TEST(GreedyTest, TieBreaksTowardSmallerId) {
   RrCollection sets;
   sets.Add(std::vector<VertexId>{2});
   sets.Add(std::vector<VertexId>{5});
-  const InvertedRrIndex inv(sets, 6);
-  const auto result = GreedyMaxCover(sets, inv, 1);
+  const auto result = CoverageWorkspace().Solve(sets, 6, 1);
   ASSERT_EQ(result.seeds.size(), 1u);
   EXPECT_EQ(result.seeds[0], 2u);  // both cover 1 set; lower id wins
 }
 
-TEST(GreedyMaxCoverTest, PadsWhenCoverageExhausted) {
+TEST(GreedyTest, PadsWhenCoverageExhausted) {
   RrCollection sets;
   sets.Add(std::vector<VertexId>{0});
-  const InvertedRrIndex inv(sets, 4);
-  const auto result = GreedyMaxCover(sets, inv, 3);
+  const auto result = CoverageWorkspace().Solve(sets, 4, 3);
   ASSERT_EQ(result.seeds.size(), 3u);
   EXPECT_EQ(result.seeds[0], 0u);
   EXPECT_EQ(result.marginal_coverage[1], 0u);
@@ -110,9 +110,8 @@ TEST_P(GreedyPropertyTest, CelfMatchesCountingGreedyScores) {
   const GreedyCase& c = GetParam();
   const RrCollection sets =
       RandomSets(c.seed, c.num_sets, c.num_vertices, c.max_len);
-  const InvertedRrIndex inv(sets, c.num_vertices);
-  const auto counting = GreedyMaxCover(sets, inv, c.k);
-  const auto celf = CelfGreedyMaxCover(sets, inv, c.k);
+  const auto counting = testing::ReferenceGreedy(sets, c.num_vertices, c.k);
+  const auto celf = CoverageWorkspace().Solve(sets, c.num_vertices, c.k);
   // Identical tie-breaking makes the two algorithms equivalent.
   EXPECT_EQ(counting.seeds, celf.seeds);
   EXPECT_EQ(counting.marginal_coverage, celf.marginal_coverage);
@@ -123,8 +122,7 @@ TEST_P(GreedyPropertyTest, MarginalGainsAreNonIncreasing) {
   const GreedyCase& c = GetParam();
   const RrCollection sets =
       RandomSets(c.seed, c.num_sets, c.num_vertices, c.max_len);
-  const InvertedRrIndex inv(sets, c.num_vertices);
-  const auto result = GreedyMaxCover(sets, inv, c.k);
+  const auto result = CoverageWorkspace().Solve(sets, c.num_vertices, c.k);
   for (size_t i = 1; i < result.marginal_coverage.size(); ++i) {
     EXPECT_LE(result.marginal_coverage[i], result.marginal_coverage[i - 1])
         << "submodularity violated at seed " << i;
@@ -136,8 +134,7 @@ TEST_P(GreedyPropertyTest, AchievesOneMinusOneOverEOfOptimum) {
   if (c.num_vertices > 12 || c.k > 3) GTEST_SKIP() << "brute force too big";
   const RrCollection sets =
       RandomSets(c.seed, c.num_sets, c.num_vertices, c.max_len);
-  const InvertedRrIndex inv(sets, c.num_vertices);
-  const auto result = GreedyMaxCover(sets, inv, c.k);
+  const auto result = CoverageWorkspace().Solve(sets, c.num_vertices, c.k);
   const uint64_t opt = BruteForceBestCoverage(sets, c.num_vertices, c.k);
   EXPECT_GE(static_cast<double>(result.total_covered),
             (1.0 - 1.0 / 2.718281828) * static_cast<double>(opt));

@@ -137,6 +137,44 @@ TEST(QueryBudgetTest, ZeroMassKeywordGetsZeroBudget) {
   EXPECT_GT(budget->per_keyword[0].second, 0u);
 }
 
+TEST(QueryBudgetTest, RefusesMoreSetsThanThirtyTwoBitsCount) {
+  // The greedy counts RR sets in 32 bits: θ^Q = 2^32-1 is the largest
+  // budget a query may have.
+  constexpr uint64_t kMax = 0xFFFFFFFFu;
+  IndexMeta meta;
+  meta.max_k = 5;
+  meta.num_topics = 2;
+  meta.topics.resize(2);
+  for (auto& t : meta.topics) {
+    t.theta = kMax;
+    t.phi = 1.0;
+  }
+  auto one = ComputeQueryBudget(meta, Query{{0}, 1});
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_EQ(one->theta_q, kMax);
+  EXPECT_EQ(one->per_keyword[0].second, kMax);
+  // Equal φ: θ^Q = 2θ_w, about 2^33.
+  auto two = ComputeQueryBudget(meta, Query{{0, 1}, 1});
+  EXPECT_EQ(two.status().code(), StatusCode::kInvalidArgument)
+      << two.status();
+
+  // θ^Q stays below 2^32-1, but ten keywords of almost no mass each get
+  // the one-set minimum, and Σ θ^Q_w passes it.
+  meta.num_topics = 11;
+  meta.topics.assign(11, {});
+  meta.topics[0].theta = kMax - 4;
+  meta.topics[0].phi = 1.0;
+  Query query{{0}, 1};
+  for (TopicId w = 1; w < 11; ++w) {
+    meta.topics[w].theta = 1;
+    meta.topics[w].phi = 1e-12;
+    query.topics.push_back(w);
+  }
+  auto tiny = ComputeQueryBudget(meta, query);
+  EXPECT_EQ(tiny.status().code(), StatusCode::kInvalidArgument)
+      << tiny.status();
+}
+
 TEST(IndexFormatTest2, FileNamesAreDistinct) {
   EXPECT_NE(RrFileName("d", 1), ListsFileName("d", 1));
   EXPECT_NE(RrFileName("d", 1), IrrFileName("d", 1));

@@ -106,7 +106,8 @@ TEST(IndexLayoutTest, HeaderFieldsSitAtTheirOffsets) {
     EXPECT_EQ(At<uint32_t>(rr, 1645), Masked(rr, 1649 + 4096, rr.size()));
     auto rr_parsed =
         ParseRrPreamble(std::string_view(rr).substr(0, kRrPreamble),
-                        rr.size(), w, CodecKind::kRaw, rr_path, &tally);
+                        rr.size(), w, CodecKind::kRaw, kTheta, rr_path,
+                        &tally);
     ASSERT_TRUE(rr_parsed.ok()) << rr_parsed.status();
     EXPECT_EQ(rr_parsed->header.topic, w);
     EXPECT_EQ(rr_parsed->header.count, kTheta);
@@ -157,7 +158,7 @@ TEST(IndexLayoutTest, HeaderFieldsSitAtTheirOffsets) {
     EXPECT_EQ(At<uint32_t>(irr, pre - 4), Masked(irr, 0, pre - 4));
     auto irr_parsed =
         ParseIrrPreamble(std::string_view(irr).substr(0, pre), irr.size(), w,
-                         CodecKind::kRaw, irr_path, &tally);
+                         CodecKind::kRaw, kTheta, irr_path, &tally);
     ASSERT_TRUE(irr_parsed.ok()) << irr_parsed.status();
     EXPECT_EQ(irr_parsed->header.topic, w);
     EXPECT_EQ(irr_parsed->header.num_users, kUsers[w]);
@@ -197,7 +198,7 @@ TEST(IndexLayoutTest, EncodeReproducesTheCommittedBytes) {
     const std::string rr = Slurp(RrFileName(kFixtureDir, w));
     auto rr_parsed =
         ParseRrPreamble(std::string_view(rr).substr(0, kRrPreamble),
-                        rr.size(), w, CodecKind::kRaw, "rr", &tally);
+                        rr.size(), w, CodecKind::kRaw, kTheta, "rr", &tally);
     ASSERT_TRUE(rr_parsed.ok()) << rr_parsed.status();
     std::vector<uint64_t> relative = rr_parsed->offsets;
     for (uint64_t& off : relative) off -= kRrPreamble;
@@ -219,7 +220,7 @@ TEST(IndexLayoutTest, EncodeReproducesTheCommittedBytes) {
     const uint64_t pre = kIrrPreamble[w];
     auto irr_parsed =
         ParseIrrPreamble(std::string_view(irr).substr(0, pre), irr.size(), w,
-                         CodecKind::kRaw, "irr", &tally);
+                         CodecKind::kRaw, kTheta, "irr", &tally);
     ASSERT_TRUE(irr_parsed.ok()) << irr_parsed.status();
     std::vector<IrrPartitionInfo> directory = irr_parsed->directory;
     for (IrrPartitionInfo& info : directory) info.offset -= pre;
@@ -434,7 +435,7 @@ class IndexLayoutSweepTest : public ::testing::Test {
     switch (m.kind) {
       case FileKind::kRr:
         parsed = ParseRrPreamble(view.substr(0, pre), bytes.size(), w,
-                                 CodecKind::kRaw, "rr", &tally)
+                                 CodecKind::kRaw, kTheta, "rr", &tally)
                      .status();
         break;
       case FileKind::kLists:
@@ -443,7 +444,7 @@ class IndexLayoutSweepTest : public ::testing::Test {
         break;
       case FileKind::kIrr:
         parsed = ParseIrrPreamble(view.substr(0, pre), bytes.size(), w,
-                                  CodecKind::kRaw, "irr", &tally)
+                                  CodecKind::kRaw, kTheta, "irr", &tally)
                      .status();
         break;
     }
@@ -525,6 +526,9 @@ TEST_F(IndexLayoutSweepTest, PinnedDamageIsRefusedByEveryReader) {
        [](std::string* b) { Put<uint64_t>(b, 16, 1000); }},
       {"irr num_users past the preamble", FileKind::kIrr, 1,
        [](std::string* b) { Put<uint64_t>(b, 8, 100000); }},
+      // The layout holds; the file stores fewer sets than the meta's θ_w.
+      {"irr theta below the meta", FileKind::kIrr, 0,
+       [](std::string* b) { Put<uint64_t>(b, 29, 10); }},
       {"irr partition offset inside the preamble", FileKind::kIrr, 0,
        [](std::string* b) { Put<uint64_t>(b, IrrEntryField(0, 0, 0), 100); }},
       {"irr partition offset past EOF", FileKind::kIrr, 0,

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coverage/celf_greedy.h"
+#include "coverage/flat_celf.h"
 #include "coverage/rr_collection.h"
 #include "graph/generators.h"
 #include "propagation/exact_spread.h"
@@ -132,8 +132,7 @@ TEST(TriggeringTest, RisIdentityHoldsForNovelTriggeringModel) {
     sampler.Sample(rng.NextU32Below(500), rng, &scratch);
     sets.Add(scratch);
   }
-  const InvertedRrIndex inverted(sets, 500);
-  const MaxCoverResult cover = CelfGreedyMaxCover(sets, inverted, 5);
+  const MaxCoverResult cover = CoverageWorkspace().Solve(sets, 500, 5);
   const double ris_estimate = static_cast<double>(cover.total_covered) /
                               static_cast<double>(kTheta) * 500.0;
 

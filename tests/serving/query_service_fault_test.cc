@@ -10,12 +10,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "expr/workload.h"
 #include "index/index_builder.h"
+#include "storage/crc32c.h"
 #include "storage/io_counter.h"
 #include "testing/scoped_fault_injection.h"
 
@@ -202,6 +206,58 @@ TEST_F(QueryServiceFaultTest, BreakerReAdmitsAfterSuccessfulProbe) {
   EXPECT_EQ(stats.breaker_opens, 1u);
   EXPECT_EQ(stats.breaker_probes, 1u);
   EXPECT_EQ(stats.breaker_closes, 1u);
+}
+
+TEST_F(QueryServiceFaultTest, ThetaBelowTheMetaDegradesToHealthyKeywords) {
+  // irr_0.dat claims 10 RR sets where the meta records θ_0, behind resealed
+  // checksums. The cache refuses the preamble as corrupt and names topic
+  // 0, so queries drop it instead of failing and topic 1 stays answerable.
+  auto meta = ReadIndexMeta(MetaFileName(dir_));
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  ASSERT_GT(meta->topics[0].theta, 10u);
+  const uint64_t preamble = meta->topics[0].irr_preamble;
+  const std::string path = IrrFileName(dir_, 0);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto put = [&bytes](uint64_t offset, auto v) {
+    std::memcpy(bytes.data() + offset, &v, sizeof(v));
+  };
+  auto masked_crc = [&bytes](uint64_t end) {
+    return crc32c::Mask(crc32c::Value(bytes.data(), end));
+  };
+  put(29, uint64_t{10});                      // header theta
+  put(37, masked_crc(37));                    // header CRC
+  put(preamble - 4, masked_crc(preamble - 4));  // preamble CRC
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  QueryServiceOptions opts = DeterministicOptions();
+  opts.failure.breaker.backoff_ms = 60000.0;  // no half-open probe
+  auto service = QueryService::Create(dir_, opts);
+  ASSERT_TRUE(service.ok());
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    auto degraded = (*service)->Execute(Irr({0, 1}));
+    ASSERT_TRUE(degraded.ok()) << degraded.status();
+    EXPECT_TRUE(degraded->degraded);
+    EXPECT_EQ(degraded->dropped_keywords, std::vector<TopicId>{0});
+  }
+  auto healthy = (*service)->Execute(Irr({1}));
+  ASSERT_TRUE(healthy.ok()) << healthy.status();
+  EXPECT_FALSE(healthy->degraded);
+  const ServiceStats stats = (*service)->stats();
+  // Each of the first three queries invalidated topic 0 and fed its
+  // breaker; the third tripped it, and the fourth was screened.
+  EXPECT_EQ(stats.cache_topic_invalidations, 3u);
+  EXPECT_EQ(stats.breaker_opens, 1u);
+  EXPECT_EQ(stats.degraded_results, 4u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 TEST_F(QueryServiceFaultTest, ChaosBurstSurvivesAndRecovers) {
