@@ -1,6 +1,8 @@
-// Chaos bench for the sharded network serving tier (PR 10): a 4-process
-// shard fleet behind the scatter-gather Router, with a shard SIGKILLed
-// and restarted MID-BURST, writes BENCH_net.json.
+// Chaos bench for the sharded network serving tier: a 4-process shard
+// fleet behind the Router, with a shard SIGKILLed and restarted
+// MID-BURST, writes BENCH_net.json (burst outcomes, chaos deltas and the
+// router's session counters: opens, cover steps, greedy restarts and
+// reply bytes).
 //
 //   1. Golden phase: fault-free answers per query from an in-process
 //      RrIndex — the byte-equality reference for everything below.
@@ -39,6 +41,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -146,12 +149,15 @@ bool SameAnswer(const SeedSetResult& a, const SeedSetResult& b) {
 }
 
 /// Drives `clients` threads × `iters` queries through the router,
-/// recording every answer. `on_progress` (optional) sees the global
-/// completed count after each request — the kill/restart trigger.
-std::vector<Sample> RunBurst(net::Router& router,
-                             const std::vector<Query>& queries,
-                             uint32_t clients, uint32_t iters,
-                             const std::function<void(uint64_t)>& on_progress) {
+/// recording every answer. `watch` (optional) runs on the calling thread
+/// while the clients run and reads the global completed count — the
+/// kill/restart trigger. Chaos must run on the calling thread: a shard
+/// forked from a client thread would get that thread as its
+/// PR_SET_PDEATHSIG parent and die when the burst ends.
+std::vector<Sample> RunBurst(
+    net::Router& router, const std::vector<Query>& queries, uint32_t clients,
+    uint32_t iters,
+    const std::function<void(const std::atomic<uint64_t>&)>& watch) {
   std::vector<std::vector<Sample>> per_client(clients);
   std::atomic<uint64_t> completed{0};
   std::vector<std::thread> threads;
@@ -166,11 +172,11 @@ std::vector<Sample> RunBurst(net::Router& router,
         sample.result = router.Query(queries[sample.query_idx]);
         sample.latency_ms = timer.ElapsedSeconds() * 1e3;
         per_client[c].push_back(std::move(sample));
-        const uint64_t done = completed.fetch_add(1) + 1;
-        if (on_progress) on_progress(done);
+        completed.fetch_add(1);
       }
     });
   }
+  if (watch) watch(completed);
   for (auto& thread : threads) thread.join();
   std::vector<Sample> all;
   for (auto& v : per_client) {
@@ -356,28 +362,34 @@ int main(int argc, char** argv) {
   std::atomic<bool> restart_failed{false};
   const net::RouterStats before_kill = router.stats();
   auto kill_samples = RunBurst(
-      router, *queries, clients, iters, [&](uint64_t done) {
-        if (done >= burst_total / 4 && !killed.exchange(true)) {
-          KillShard(&fleet[victim], SIGKILL);
-          std::printf("  [chaos] shard %u (port %u) SIGKILLed after %llu "
-                      "requests\n",
-                      victim, victim_port,
-                      static_cast<unsigned long long>(done));
-        }
-        if (done >= (burst_total * 3) / 5 && killed.load() &&
-            !restarted.exchange(true)) {
-          auto revived = SpawnShard(binary, *dir, victim_port, workers);
-          if (revived.ok()) {
-            fleet[victim] = *revived;
-            std::printf("  [chaos] shard %u respawned on port %u after "
-                        "%llu requests\n",
+      router, *queries, clients, iters,
+      [&](const std::atomic<uint64_t>& completed) {
+        for (;;) {
+          const uint64_t done = completed.load();
+          if (done >= burst_total / 4 && !killed.exchange(true)) {
+            KillShard(&fleet[victim], SIGKILL);
+            std::printf("  [chaos] shard %u (port %u) SIGKILLed after %llu "
+                        "requests\n",
                         victim, victim_port,
                         static_cast<unsigned long long>(done));
-          } else {
-            restart_failed.store(true);
-            std::fprintf(stderr, "shard restart failed: %s\n",
-                         revived.status().ToString().c_str());
           }
+          if (done >= (burst_total * 3) / 5 && killed.load() &&
+              !restarted.exchange(true)) {
+            auto revived = SpawnShard(binary, *dir, victim_port, workers);
+            if (revived.ok()) {
+              fleet[victim] = *revived;
+              std::printf("  [chaos] shard %u respawned on port %u after "
+                          "%llu requests\n",
+                          victim, victim_port,
+                          static_cast<unsigned long long>(done));
+            } else {
+              restart_failed.store(true);
+              std::fprintf(stderr, "shard restart failed: %s\n",
+                           revived.status().ToString().c_str());
+            }
+          }
+          if (restarted.load() || done >= burst_total) return;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       });
   auto kill = Classify(kill_samples, *queries, goldens, rr);
@@ -452,6 +464,17 @@ int main(int argc, char** argv) {
                                       before_kill.breaker_opens),
       static_cast<unsigned long long>(after_kill.breaker_sheds -
                                       before_kill.breaker_sheds));
+  std::printf(
+      "router: %llu queries, %llu session opens, %llu cover steps, %llu "
+      "greedy restarts, %.1f KB of replies per query\n",
+      static_cast<unsigned long long>(final_stats.queries),
+      static_cast<unsigned long long>(final_stats.scatter_rpcs),
+      static_cast<unsigned long long>(final_stats.cover_steps),
+      static_cast<unsigned long long>(final_stats.greedy_restarts),
+      final_stats.queries > 0
+          ? static_cast<double>(final_stats.response_bytes) / 1024.0 /
+                static_cast<double>(final_stats.queries)
+          : 0.0);
   std::printf("recovery: %s after %llu probe queries (%.3f s)\n",
               recovered ? "golden-equal + breaker closed" : "NOT RECOVERED",
               static_cast<unsigned long long>(recovery_queries),
@@ -498,7 +521,11 @@ int main(int argc, char** argv) {
       "  \"chaos\": {\"victim_shard\": %u, \"transport_failures\": %llu, "
       "\"hedged_rpcs\": %llu, \"breaker_opens\": %llu, "
       "\"breaker_sheds\": %llu, \"breaker_probes\": %llu, "
-      "\"breaker_closes\": %llu, \"scatter_rpcs\": %llu},\n"
+      "\"breaker_closes\": %llu, \"scatter_rpcs\": %llu, "
+      "\"greedy_restarts\": %llu},\n"
+      "  \"router\": {\"queries\": %llu, \"scatter_rpcs\": %llu, "
+      "\"cover_steps\": %llu, \"greedy_restarts\": %llu, "
+      "\"response_bytes\": %llu},\n"
       "  \"recovery\": {\"recovered\": %s, \"probe_queries\": %llu, "
       "\"seconds\": %.4f},\n"
       "  \"p99_pre_ms\": %.4f,\n"
@@ -517,6 +544,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(final_stats.breaker_probes),
       static_cast<unsigned long long>(final_stats.breaker_closes),
       static_cast<unsigned long long>(final_stats.scatter_rpcs),
+      static_cast<unsigned long long>(after_kill.greedy_restarts -
+                                      before_kill.greedy_restarts),
+      static_cast<unsigned long long>(final_stats.queries),
+      static_cast<unsigned long long>(final_stats.scatter_rpcs),
+      static_cast<unsigned long long>(final_stats.cover_steps),
+      static_cast<unsigned long long>(final_stats.greedy_restarts),
+      static_cast<unsigned long long>(final_stats.response_bytes),
       recovered ? "true" : "false",
       static_cast<unsigned long long>(recovery_queries), recovery_seconds,
       pre->p99_ms, post->p99_ms, p99_budget);

@@ -1,7 +1,6 @@
 #include "net/router.h"
 
 #include <algorithm>
-#include <future>
 #include <unordered_map>
 #include <utility>
 
@@ -56,7 +55,7 @@ StatusOr<std::unique_ptr<Router>> Router::Create(
     if (meta.ok()) {
       if (!meta->has_rr) {
         return Status::FailedPrecondition(
-            "shard index has no RR structures (router gathers RR blocks)");
+            "shard index has no RR structures (router runs RR sessions)");
       }
       return std::unique_ptr<Router>(new Router(
           std::move(shards), std::move(options), std::move(*meta)));
@@ -103,100 +102,123 @@ void Router::ReleaseClient(uint32_t shard,
   idle_clients_[shard].push_back(std::move(client));
 }
 
-void Router::GatherBlocks(std::vector<TopicFetch>& work) {
-  for (uint32_t round = 0;; ++round) {
-    // Pick each unresolved keyword's next ADMITTED replica; breaker-open
-    // replicas are consumed in O(1) — the fast shed, no timeout paid.
-    std::unordered_map<uint32_t, std::vector<size_t>> groups;
-    uint64_t sheds = 0;
-    for (size_t i = 0; i < work.size(); ++i) {
-      TopicFetch& tf = work[i];
-      if (tf.block != nullptr) continue;
-      while (tf.next_replica < tf.replicas.size()) {
-        const uint32_t shard = tf.replicas[tf.next_replica];
-        if (breakers_.Admit(static_cast<TopicId>(shard))) {
-          groups[shard].push_back(i);
-          break;
-        }
-        ++tf.next_replica;  // open breaker: this replica is spent
-        ++sheds;
-      }
-    }
-    if (sheds > 0) {
-      MutexLock lock(&stats_mu_);
-      counters_.breaker_sheds += sheds;
-    }
-    if (groups.empty()) return;  // everything gathered or exhausted
+void Router::LoseSession(Session& session, bool keep_keywords) {
+  session.client->Disconnect();
+  session.open = false;
+  // One breaker verdict per lost RPC: consecutive verdicts trip the
+  // shard's domain open and later assignments shed it in O(1).
+  breakers_.RecordFailure(static_cast<TopicId>(session.shard));
+  {
+    MutexLock lock(&stats_mu_);
+    ++counters_.transport_failures;
+  }
+  if (keep_keywords) return;
+  for (Keyword* kw : session.keywords) ++kw->next_replica;
+}
 
-    {
-      MutexLock lock(&stats_mu_);
-      counters_.scatter_rpcs += groups.size();
-      if (round > 0) counters_.hedged_rpcs += groups.size();
-    }
-
-    // One fetch RPC per shard, in parallel; each carries the per-attempt
-    // wire deadline so a backlogged shard sheds it at dequeue instead of
-    // serving a result the router has already given up on.
-    struct GroupResult {
-      uint32_t shard = 0;
-      std::vector<size_t> indices;
-      StatusOr<RrFetchResult> result{Status::Unavailable("unset")};
-      bool transport_failed = false;
-    };
-    std::vector<std::future<GroupResult>> futures;
-    futures.reserve(groups.size());
-    for (auto& [shard, indices] : groups) {
-      RrFetchRequest request;
-      request.request_deadline_ms = options_.attempt_timeout_ms;
-      for (size_t i : indices) {
-        request.topics.push_back(work[i].topic);
-        request.budgets.push_back(work[i].budget);
-      }
-      futures.push_back(std::async(
-          std::launch::async,
-          [this, shard = shard, indices = std::move(indices),
-           request = std::move(request)]() mutable {
-            GroupResult gr;
-            gr.shard = shard;
-            gr.indices = std::move(indices);
-            std::unique_ptr<ShardClient> client = AcquireClient(shard);
-            gr.result = client->FetchRr(request, &gr.transport_failed);
-            ReleaseClient(shard, std::move(client));
-            return gr;
-          }));
-    }
-
-    for (std::future<GroupResult>& future : futures) {
-      GroupResult gr = future.get();
-      if (gr.result.ok()) {
-        breakers_.RecordSuccess(static_cast<TopicId>(gr.shard));
-        const RrFetchResult& res = *gr.result;
-        for (size_t j = 0; j < gr.indices.size(); ++j) {
-          TopicFetch& tf = work[gr.indices[j]];
-          if (j < res.blocks.size() && res.blocks[j] != nullptr) {
-            tf.block = res.blocks[j];
-          } else {
-            // Shard-side drop (its breaker or storage failed the topic):
-            // the shard is alive, but THIS keyword needs another replica.
-            ++tf.next_replica;
-          }
-        }
+bool Router::OpenSessions(std::vector<Session>& sessions,
+                          std::vector<uint32_t>& count) {
+  uint64_t hedges = 0;
+  for (Session& s : sessions) {
+    s.client = AcquireClient(s.shard);
+    s.received_before = s.client->received_bytes();
+    // The per-attempt wire deadline: a backlogged shard sheds the open at
+    // dequeue instead of serving a session the router has given up on.
+    s.request.request_deadline_ms = options_.attempt_timeout_ms;
+    s.client->StartCoverOpen(s.request);
+    hedges += s.hedge ? 1 : 0;
+  }
+  {
+    MutexLock lock(&stats_mu_);
+    counters_.scatter_rpcs += sessions.size();
+    counters_.hedged_rpcs += hedges;
+  }
+  bool all_open = true;
+  std::vector<TopicId> dropped;
+  for (Session& s : sessions) {
+    bool transport_failed = false;
+    dropped.clear();
+    const Status opened =
+        s.client->FinishCoverOpen(&dropped, &count, &transport_failed);
+    if (!opened.ok()) {
+      all_open = false;
+      if (transport_failed) {
+        LoseSession(s);
         continue;
       }
-      if (gr.transport_failed) {
-        // One breaker verdict per failed RPC: consecutive verdicts trip
-        // the shard's domain open and future rounds shed in O(1).
-        breakers_.RecordFailure(static_cast<TopicId>(gr.shard));
-        MutexLock lock(&stats_mu_);
-        ++counters_.transport_failures;
-      }
-      // Transport loss or an application-level refusal (queue full,
-      // deadline): either way these keywords hedge to their next replica.
-      for (size_t i : gr.indices) ++work[i].next_replica;
+      // An application-level refusal (queue full, deadline): the shard is
+      // alive, but these keywords need another replica.
+      for (Keyword* kw : s.keywords) ++kw->next_replica;
+      continue;
     }
-    // Every unresolved keyword either gained a block or consumed a
-    // replica this round, and replicas are finite: the loop terminates.
+    s.open = true;
+    breakers_.RecordSuccess(static_cast<TopicId>(s.shard));
+    for (TopicId topic : dropped) {
+      const auto it =
+          std::find(s.request.topics.begin(), s.request.topics.end(), topic);
+      if (it == s.request.topics.end()) {  // not a topic it was sent
+        LoseSession(s);
+        break;
+      }
+      // Shard-side drop (its breaker or storage failed the topic): the
+      // shard is alive, but THIS keyword needs another replica.
+      ++s.keywords[it - s.request.topics.begin()]->next_replica;
+    }
+    all_open = all_open && dropped.empty();
   }
+  return all_open;
+}
+
+bool Router::RunGreedy(std::vector<Session>& sessions, uint32_t k,
+                       std::vector<uint32_t>& count, MaxCoverResult* cover) {
+  bool lost = false;
+  uint64_t steps = 0;
+  std::vector<uint64_t> heap, selected;
+  *cover = RunCelf(
+      meta_.num_vertices, k, count,
+      [&](VertexId v) {
+        // After a loss the counts are wrong: the loop runs out its
+        // remaining selections without steps and the caller restarts.
+        if (lost) return;
+        for (Session& s : sessions) {
+          if (s.client->SendCoverStep(v).ok()) {
+            ++steps;
+          } else {
+            LoseSession(s);
+            lost = true;
+          }
+        }
+        for (Session& s : sessions) {
+          if (s.open && !s.client->RecvCoverStep(&count).ok()) {
+            LoseSession(s);
+            lost = true;
+          }
+        }
+      },
+      heap, selected);
+  MutexLock lock(&stats_mu_);
+  counters_.cover_steps += steps;
+  return !lost;
+}
+
+void Router::EndSessions(std::vector<Session>& sessions) {
+  for (Session& s : sessions) {
+    if (s.open && !s.client->SendCoverStep(kEndCoverSession).ok()) {
+      LoseSession(s, /*keep_keywords=*/true);
+    }
+  }
+  std::vector<uint32_t> none;  // an end reply carries no decrements
+  uint64_t bytes = 0;
+  for (Session& s : sessions) {
+    if (s.open && !s.client->RecvCoverStep(&none).ok()) {
+      LoseSession(s, /*keep_keywords=*/true);
+    }
+    s.open = false;
+    bytes += s.client->received_bytes() - s.received_before;
+    ReleaseClient(s.shard, std::move(s.client));
+  }
+  MutexLock lock(&stats_mu_);
+  counters_.response_bytes += bytes;
 }
 
 StatusOr<SeedSetResult> Router::Query(const kbtim::Query& query) {
@@ -213,85 +235,88 @@ StatusOr<SeedSetResult> Router::Query(const kbtim::Query& query) {
   StatusOr<QueryBudget> budget = ComputeQueryBudget(meta_, query);
   if (!budget.ok()) return fail(budget.status());
 
-  // Scatter: one gather entry per keyword with a nonzero budget (zero-
-  // budget keywords carry no index mass — the in-process path skips
-  // loading them too, which the byte-equality contract depends on).
-  std::vector<TopicFetch> work;
-  for (const auto& [topic, tw] : budget->per_keyword) {
-    if (tw == 0) continue;
-    TopicFetch tf;
-    tf.topic = topic;
-    tf.budget = tw;
-    tf.replicas = ReplicasOf(topic);
-    work.push_back(std::move(tf));
-  }
-  GatherBlocks(work);
-
-  std::unordered_map<TopicId, std::shared_ptr<const RrKeywordBlock>> blocks;
-  std::vector<TopicId> dropped;
-  for (TopicFetch& tf : work) {
-    if (tf.block != nullptr) {
-      blocks.emplace(tf.topic, std::move(tf.block));
-    } else {
-      dropped.push_back(tf.topic);
-    }
-  }
-
-  // Culprit-diff degradation: drop the unservable keywords, recompute the
-  // budget over the survivors, and refetch any block the new (larger)
-  // θ^Q outgrew. The keyword set strictly shrinks per pass, so this
-  // terminates; the result is the SAME answer RrIndex::Query gives the
-  // reduced query.
   kbtim::Query effective = query;
   QueryBudget effective_budget = std::move(*budget);
-  while (!dropped.empty()) {
-    std::vector<TopicId> reduced;
-    for (TopicId t : effective.topics) {
-      if (std::find(dropped.begin(), dropped.end(), t) == dropped.end()) {
-        reduced.push_back(t);
-      }
-    }
-    if (reduced.empty()) {
-      return fail(Status::Unavailable(
-          "every query keyword was dropped (no shard could serve them)"));
-    }
-    effective.topics = std::move(reduced);
-    StatusOr<QueryBudget> recomputed = ComputeQueryBudget(meta_, effective);
-    if (!recomputed.ok()) return fail(recomputed.status());
-    effective_budget = std::move(*recomputed);
-
-    std::vector<TopicFetch> refetch;
+  std::vector<TopicId> dropped;
+  std::unordered_map<TopicId, Keyword> keywords;  // nodes never move
+  std::vector<uint32_t> count;
+  MaxCoverResult cover;
+  for (;;) {
+    // Assign each keyword to its next ADMITTED replica, one session per
+    // shard; breaker-open replicas are used up in O(1) — the fast shed,
+    // no timeout paid. Zero-budget keywords carry no index mass (the
+    // in-process path skips loading them too, which the byte-equality
+    // contract depends on).
+    std::vector<Session> sessions;
+    std::vector<TopicId> exhausted;
+    uint64_t sheds = 0;
     for (const auto& [topic, tw] : effective_budget.per_keyword) {
       if (tw == 0) continue;
-      auto it = blocks.find(topic);
-      if (it != blocks.end() && it->second->loaded_budget >= tw) continue;
-      TopicFetch tf;
-      tf.topic = topic;
-      tf.budget = tw;
-      tf.replicas = ReplicasOf(topic);
-      refetch.push_back(std::move(tf));
-    }
-    if (refetch.empty()) break;
-    {
-      MutexLock lock(&stats_mu_);
-      ++counters_.refetch_rounds;
-    }
-    GatherBlocks(refetch);
-    bool newly_dropped = false;
-    for (TopicFetch& tf : refetch) {
-      if (tf.block != nullptr) {
-        blocks[tf.topic] = std::move(tf.block);
-      } else {
-        dropped.push_back(tf.topic);
-        blocks.erase(tf.topic);
-        newly_dropped = true;
+      const auto [it, inserted] = keywords.try_emplace(topic);
+      Keyword& kw = it->second;
+      if (inserted) kw.replicas = ReplicasOf(topic);
+      while (kw.next_replica < kw.replicas.size() &&
+             !breakers_.Admit(
+                 static_cast<TopicId>(kw.replicas[kw.next_replica]))) {
+        ++kw.next_replica;
+        ++sheds;
       }
+      if (kw.next_replica >= kw.replicas.size()) {
+        exhausted.push_back(topic);
+        continue;
+      }
+      const uint32_t shard = kw.replicas[kw.next_replica];
+      auto s = std::find_if(sessions.begin(), sessions.end(),
+                            [shard](const Session& x) {
+                              return x.shard == shard;
+                            });
+      if (s == sessions.end()) {
+        s = sessions.emplace(sessions.end());
+        s->shard = shard;
+      }
+      s->request.topics.push_back(topic);
+      s->request.budgets.push_back(tw);
+      s->keywords.push_back(&kw);
+      s->hedge = s->hedge || kw.next_replica > 0;
     }
-    if (!newly_dropped) break;
+    if (sheds > 0) {
+      MutexLock lock(&stats_mu_);
+      counters_.breaker_sheds += sheds;
+    }
+    if (!exhausted.empty()) {
+      // Culprit-diff degradation: drop the keywords no replica can serve
+      // and recompute the budget over the survivors. The keyword set
+      // strictly shrinks, and the answer is the SAME one RrIndex::Query
+      // gives the reduced query.
+      dropped.insert(dropped.end(), exhausted.begin(), exhausted.end());
+      std::erase_if(effective.topics, [&](TopicId t) {
+        return std::find(exhausted.begin(), exhausted.end(), t) !=
+               exhausted.end();
+      });
+      if (effective.topics.empty()) {
+        return fail(Status::Unavailable(
+            "every query keyword was dropped (no shard could serve them)"));
+      }
+      StatusOr<QueryBudget> recomputed = ComputeQueryBudget(meta_, effective);
+      if (!recomputed.ok()) return fail(recomputed.status());
+      effective_budget = std::move(*recomputed);
+      MutexLock lock(&stats_mu_);
+      ++counters_.budget_recomputes;
+      continue;
+    }
+
+    count.assign(meta_.num_vertices, 0);
+    const bool answered = OpenSessions(sessions, count) &&
+                          RunGreedy(sessions, effective.k, count, &cover);
+    EndSessions(sessions);
+    if (answered) break;
+    // A failed attempt used up a replica of at least one keyword, and
+    // replicas are finite: the restarts end.
+    MutexLock lock(&stats_mu_);
+    ++counters_.greedy_restarts;
   }
 
-  SeedSetResult result = RunRrGreedy(effective, effective_budget, blocks,
-                                     meta_.num_vertices);
+  SeedSetResult result = RrGreedyAnswer(effective_budget, std::move(cover));
   if (!dropped.empty()) {
     result.degraded = true;
     result.dropped_keywords = dropped;

@@ -1,5 +1,7 @@
 #include "net/wire_format.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "storage/crc32c.h"
@@ -40,7 +42,17 @@ void EncodeRrBlock(const RrKeywordBlock& block, WireWriter* w) {
   w->U64(block.bytes);
 }
 
-Status DecodeRrBlock(WireReader* r, RrKeywordBlock* block) {
+/// A wire deadline in milliseconds: finite, non-negative and at most a
+/// day, so converting it to a clock duration cannot overflow.
+Status CheckDeadline(double ms) {
+  if (!std::isfinite(ms) || ms < 0.0 || ms > 86400000.0) {
+    return Status::Corruption("wire deadline out of range");
+  }
+  return Status::OK();
+}
+
+Status DecodeRrBlock(WireReader* r, VertexId num_vertices,
+                     RrKeywordBlock* block) {
   KBTIM_RETURN_IF_ERROR(r->U64(&block->loaded_budget));
   KBTIM_RETURN_IF_ERROR(r->VecU64(&block->set_offsets));
   KBTIM_RETURN_IF_ERROR(r->VecU32(&block->set_items));
@@ -48,8 +60,9 @@ Status DecodeRrBlock(WireReader* r, RrKeywordBlock* block) {
   KBTIM_RETURN_IF_ERROR(r->VecU64(&block->list_offsets));
   KBTIM_RETURN_IF_ERROR(r->VecU32(&block->list_ids));
   KBTIM_RETURN_IF_ERROR(r->U64(&block->bytes));
-  // The offset directories must stay internally consistent — a decoder
-  // that trusts them would index out of bounds on SetMembers/ListOf.
+  // The offset directories must stay internally consistent, and every id
+  // in range — a greedy that trusts them indexes its count array by
+  // vertex and its covered bitsets by RR id.
   if (block->set_offsets.empty() || block->set_offsets.front() != 0 ||
       block->set_offsets.back() != block->set_items.size() ||
       block->set_offsets.size() != block->loaded_budget + 1) {
@@ -69,6 +82,47 @@ Status DecodeRrBlock(WireReader* r, RrKeywordBlock* block) {
     if (block->list_offsets[i] < block->list_offsets[i - 1]) {
       return Status::Corruption("RR block list_offsets not monotone");
     }
+  }
+  // Order and bounds, without a data-dependent branch per element: list
+  // ids ascend (so the last is the largest) and list vertices ascend (so
+  // the last is the largest vertex a list names).
+  bool ordered = true;
+  for (size_t i = 0; i < block->list_vertex.size(); ++i) {
+    const RrId* ids = block->list_ids.data() + block->list_offsets[i];
+    const uint64_t len = block->list_offsets[i + 1] - block->list_offsets[i];
+    for (uint64_t j = 1; j < len; ++j) ordered &= ids[j - 1] < ids[j];
+    if (len > 0) ordered &= ids[len - 1] < block->loaded_budget;
+    if (i > 0) ordered &= block->list_vertex[i - 1] < block->list_vertex[i];
+  }
+  if (!ordered) {
+    return Status::Corruption(
+        "RR block lists out of order or past loaded_budget");
+  }
+  VertexId top = block->list_vertex.empty() ? 0 : block->list_vertex.back();
+  for (VertexId v : block->set_items) top = std::max(top, v);
+  if (top >= num_vertices &&
+      !(block->list_vertex.empty() && block->set_items.empty())) {
+    return Status::Corruption("RR block vertex past the index");
+  }
+  return Status::OK();
+}
+
+/// Reads a session reply's sparse pairs in place and hands each to
+/// `apply(vertex, value)`, refusing a vertex past `num_vertices`.
+template <typename Apply>
+Status DecodePairs(WireReader* r, size_t num_vertices, Apply apply) {
+  uint64_t words = 0;
+  const char* data = nullptr;
+  KBTIM_RETURN_IF_ERROR(r->U64(&words));
+  if (words % 2 != 0) return Status::Corruption("odd sparse pair vector");
+  KBTIM_RETURN_IF_ERROR(r->InPlace(words, sizeof(uint32_t), &data));
+  for (uint64_t i = 0; i < words; i += 2) {
+    uint32_t pair[2];
+    std::memcpy(pair, data + i * sizeof(uint32_t), sizeof(pair));
+    if (pair[0] >= num_vertices) {
+      return Status::Corruption("sparse pair vertex out of range");
+    }
+    KBTIM_RETURN_IF_ERROR(apply(pair[0], pair[1]));
   }
   return Status::OK();
 }
@@ -120,6 +174,13 @@ Status WireReader::VecU64(std::vector<uint64_t>* v) {
   return ReadRaw(v->data(), n * sizeof(uint64_t));
 }
 
+Status WireReader::InPlace(uint64_t n, size_t elem_size, const char** data) {
+  KBTIM_RETURN_IF_ERROR(CheckCount(n, elem_size));
+  *data = data_ + pos_;
+  pos_ += n * elem_size;
+  return Status::OK();
+}
+
 Status WireReader::VecDouble(std::vector<double>* v) {
   uint64_t n = 0;
   KBTIM_RETURN_IF_ERROR(U64(&n));
@@ -169,7 +230,7 @@ StatusOr<FrameHeader> DecodeFrameHeader(const char* data, size_t size) {
     return Status::Corruption("bad frame magic (stream desynchronized)");
   }
   if (type < static_cast<uint8_t>(MsgType::kMetaRequest) ||
-      type > static_cast<uint8_t>(MsgType::kFetchResponse)) {
+      type > static_cast<uint8_t>(MsgType::kCoverDecrements)) {
     return Status::Corruption("unknown frame type");
   }
   if (header.payload_len > kMaxFramePayload) {
@@ -276,12 +337,21 @@ StatusOr<IndexMeta> DecodeMetaResponse(const std::string& payload) {
   KBTIM_RETURN_IF_ERROR(r.U8(&has_rr));
   KBTIM_RETURN_IF_ERROR(r.U8(&has_irr));
   KBTIM_RETURN_IF_ERROR(r.U64(&num_topic_rows));
+  if (model > static_cast<uint8_t>(PropagationModel::kLinearThreshold) ||
+      codec > static_cast<uint8_t>(CodecKind::kGroupVarint) ||
+      bound > static_cast<uint8_t>(ThetaBoundKind::kCompact)) {
+    return Status::Corruption("meta enum out of range");
+  }
   m.model = static_cast<PropagationModel>(model);
   m.codec = static_cast<CodecKind>(codec);
   m.bound = static_cast<ThetaBoundKind>(bound);
   m.has_rr = has_rr != 0;
   m.has_irr = has_irr != 0;
-  if (num_topic_rows != m.num_topics) {
+  // Six 8-byte fields per row: a row count the payload cannot hold is
+  // refused before the table is allocated.
+  constexpr size_t kTopicRowBytes = 48;
+  if (num_topic_rows != m.num_topics ||
+      num_topic_rows > r.remaining() / kTopicRowBytes) {
     return Status::Corruption("meta topic table size mismatch");
   }
   m.topics.resize(num_topic_rows);
@@ -326,9 +396,12 @@ StatusOr<ServiceRequest> DecodeQueryRequest(const std::string& payload) {
   KBTIM_RETURN_IF_ERROR(r.U64(&request.max_theta));
   KBTIM_RETURN_IF_ERROR(r.Double(&request.request_deadline_ms));
   if (engine > static_cast<uint8_t>(QueryEngine::kWris) ||
+      irr_mode > static_cast<uint8_t>(IrrQueryMode::kEager) ||
       priority >= kNumPriorities) {
     return Status::Corruption("query request enum out of range");
   }
+  KBTIM_RETURN_IF_ERROR(CheckDeadline(request.queue_deadline_ms));
+  KBTIM_RETURN_IF_ERROR(CheckDeadline(request.request_deadline_ms));
   request.engine = static_cast<QueryEngine>(engine);
   request.irr_mode = static_cast<IrrQueryMode>(irr_mode);
   request.priority = static_cast<RequestPriority>(priority);
@@ -402,6 +475,8 @@ StatusOr<RrFetchRequest> DecodeFetchRequest(const std::string& payload) {
   if (priority >= kNumPriorities) {
     return Status::Corruption("fetch request priority out of range");
   }
+  KBTIM_RETURN_IF_ERROR(CheckDeadline(request.queue_deadline_ms));
+  KBTIM_RETURN_IF_ERROR(CheckDeadline(request.request_deadline_ms));
   request.priority = static_cast<RequestPriority>(priority);
   return request;
 }
@@ -422,7 +497,8 @@ std::string EncodeFetchResponse(const StatusOr<RrFetchResult>& result) {
   return EncodePayload([&](WireWriter* w) { EncodeFetchResponse(result, w); });
 }
 
-StatusOr<RrFetchResult> DecodeFetchResponse(const std::string& payload) {
+StatusOr<RrFetchResult> DecodeFetchResponse(const std::string& payload,
+                                            VertexId num_vertices) {
   WireReader r(payload);
   Status remote;
   KBTIM_RETURN_IF_ERROR(DecodeStatus(&r, &remote));
@@ -430,7 +506,7 @@ StatusOr<RrFetchResult> DecodeFetchResponse(const std::string& payload) {
   RrFetchResult res;
   uint64_t num_blocks = 0;
   KBTIM_RETURN_IF_ERROR(r.U64(&num_blocks));
-  if (num_blocks > kMaxFramePayload / 2) {
+  if (num_blocks > r.remaining()) {  // each block takes a presence byte
     return Status::Corruption("fetch response block count out of range");
   }
   res.blocks.reserve(num_blocks);
@@ -442,11 +518,67 @@ StatusOr<RrFetchResult> DecodeFetchResponse(const std::string& payload) {
       continue;
     }
     auto block = std::make_shared<RrKeywordBlock>();
-    KBTIM_RETURN_IF_ERROR(DecodeRrBlock(&r, block.get()));
+    KBTIM_RETURN_IF_ERROR(DecodeRrBlock(&r, num_vertices, block.get()));
     res.blocks.push_back(std::move(block));
   }
   KBTIM_RETURN_IF_ERROR(r.VecU32(&res.dropped));
   return res;
+}
+
+// ---- Cover sessions --------------------------------------------------------
+
+void EncodeCoverCounts(const Status& status,
+                       const std::vector<TopicId>& dropped,
+                       const std::vector<uint32_t>& pairs, WireWriter* w) {
+  EncodeStatus(status, w);
+  if (!status.ok()) return;
+  w->VecU32(dropped);
+  w->VecU32(pairs);
+}
+
+Status DecodeCoverCounts(const std::string& payload, Status* remote,
+                         std::vector<TopicId>* dropped,
+                         std::vector<uint32_t>* count) {
+  WireReader r(payload);
+  KBTIM_RETURN_IF_ERROR(DecodeStatus(&r, remote));
+  if (!remote->ok()) return Status::OK();
+  KBTIM_RETURN_IF_ERROR(r.VecU32(dropped));
+  return DecodePairs(&r, count->size(), [&](VertexId v, uint32_t c) {
+    uint32_t& slot = (*count)[v];
+    if (c > UINT32_MAX - slot) {
+      return Status::Corruption("initial count overflows 32 bits");
+    }
+    slot += c;
+    return Status::OK();
+  });
+}
+
+void EncodeCoverStep(VertexId v, WireWriter* w) { w->U32(v); }
+
+StatusOr<VertexId> DecodeCoverStep(const std::string& payload) {
+  WireReader r(payload);
+  VertexId v = 0;
+  KBTIM_RETURN_IF_ERROR(r.U32(&v));
+  return v;
+}
+
+void EncodeCoverDecrements(const Status& status,
+                           const std::vector<uint32_t>& pairs, WireWriter* w) {
+  EncodeStatus(status, w);
+  if (status.ok()) w->VecU32(pairs);
+}
+
+Status DecodeCoverDecrements(const std::string& payload, Status* remote,
+                             std::vector<uint32_t>* count) {
+  WireReader r(payload);
+  KBTIM_RETURN_IF_ERROR(DecodeStatus(&r, remote));
+  if (!remote->ok()) return Status::OK();
+  return DecodePairs(&r, count->size(), [&](VertexId v, uint32_t d) {
+    uint32_t& slot = (*count)[v];
+    if (d > slot) return Status::Corruption("decrement above the count");
+    slot -= d;
+    return Status::OK();
+  });
 }
 
 }  // namespace net

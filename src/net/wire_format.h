@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,10 @@ enum class MsgType : uint8_t {
   kQueryResponse = 4,  ///< <- shard: Status + SeedSetResult.
   kFetchRequest = 5,   ///< -> shard: per-keyword RR block fetch.
   kFetchResponse = 6,  ///< <- shard: Status + RrFetchResult blocks.
+  kCoverOpen = 7,        ///< -> shard: open a cover session (fetch request).
+  kCoverCounts = 8,      ///< <- shard: Status + dropped + initial counts.
+  kCoverStep = 9,        ///< -> shard: cover one vertex, or end the session.
+  kCoverDecrements = 10, ///< <- shard: Status + the step's count decrements.
 };
 
 // ---- Flat little-endian primitives -----------------------------------------
@@ -147,6 +152,9 @@ class WireReader {
   }
   Status VecU64(std::vector<uint64_t>* v);
   Status VecDouble(std::vector<double>* v);
+  /// Consumes n elements of elem_size bytes without copying them: *data
+  /// points at the first one inside the payload.
+  Status InPlace(uint64_t n, size_t elem_size, const char** data);
 
   /// Bytes not yet consumed.
   size_t remaining() const { return size_ - pos_; }
@@ -225,13 +233,53 @@ void EncodeQueryResponse(const StatusOr<SeedSetResult>& result, WireWriter* w);
 std::string EncodeQueryResponse(const StatusOr<SeedSetResult>& result);
 StatusOr<SeedSetResult> DecodeQueryResponse(const std::string& payload);
 
-/// RR block scatter-gather unit (RrFetchRequest <-> RrFetchResult).
+/// RR block fetch (RrFetchRequest <-> RrFetchResult). A decoded block is
+/// refused unless its offsets are consistent, each inverted list holds
+/// ascending ids below loaded_budget, list vertices ascend strictly, and
+/// every set member and list vertex is below `num_vertices` (the index
+/// meta's; the default bounds nothing but the id type).
 void EncodeFetchRequest(const RrFetchRequest& request, WireWriter* w);
 std::string EncodeFetchRequest(const RrFetchRequest& request);
 StatusOr<RrFetchRequest> DecodeFetchRequest(const std::string& payload);
 void EncodeFetchResponse(const StatusOr<RrFetchResult>& result, WireWriter* w);
 std::string EncodeFetchResponse(const StatusOr<RrFetchResult>& result);
-StatusOr<RrFetchResult> DecodeFetchResponse(const std::string& payload);
+StatusOr<RrFetchResult> DecodeFetchResponse(
+    const std::string& payload,
+    VertexId num_vertices = std::numeric_limits<VertexId>::max());
+
+// ---- Cover sessions (shard_server.h, router.h) -----------------------------
+//
+// kCoverOpen carries an RrFetchRequest (the fetch request codec above).
+// kCoverCounts answers it: a Status, then the topics the shard dropped and
+// the sparse sum of the session's initial counts. kCoverStep names the
+// vertex the router selected, or kEndCoverSession; kCoverDecrements
+// answers it: a Status, then the sparse count decrements of the sets the
+// step covered. Sparse counts travel as one u32 vector of (vertex, value)
+// pairs, [v0, x0, v1, x1, ...].
+//
+// The two reply decoders apply the pairs to the caller's dense count array
+// (one entry per vertex) as they read them. They return kCorruption for a
+// malformed payload, a vertex past count->size(), an initial count that
+// would carry a sum past 2^32 - 1 or a decrement above the current count,
+// leaving *count partly updated (the caller discards it); the shard's own
+// Status lands in *remote.
+
+/// Step vertex that ends the session instead of covering a vertex.
+inline constexpr VertexId kEndCoverSession =
+    std::numeric_limits<VertexId>::max();
+
+void EncodeCoverCounts(const Status& status,
+                       const std::vector<TopicId>& dropped,
+                       const std::vector<uint32_t>& pairs, WireWriter* w);
+Status DecodeCoverCounts(const std::string& payload, Status* remote,
+                         std::vector<TopicId>* dropped,
+                         std::vector<uint32_t>* count);
+void EncodeCoverStep(VertexId v, WireWriter* w);
+StatusOr<VertexId> DecodeCoverStep(const std::string& payload);
+void EncodeCoverDecrements(const Status& status,
+                           const std::vector<uint32_t>& pairs, WireWriter* w);
+Status DecodeCoverDecrements(const std::string& payload, Status* remote,
+                             std::vector<uint32_t>* count);
 
 }  // namespace net
 }  // namespace kbtim

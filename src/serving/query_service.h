@@ -245,7 +245,8 @@ struct ServiceStats {
   /// holding their worker slot through the backoff sleep (PR 10 fix: a
   /// burst of retrying requests used to idle the whole pool).
   uint64_t retry_requeues = 0;
-  /// RR-block fetches served to remote routers (RequestKind::kFetchRr).
+  /// RR-block fetches served: cover-session opens and remote FetchRr
+  /// calls (RequestKind::kFetchRr).
   uint64_t rr_fetches = 0;
   /// OK results served with degraded=true (some keywords dropped).
   uint64_t degraded_results = 0;
@@ -315,10 +316,11 @@ class QueryService {
   StatusOr<SeedSetResult> Execute(ServiceRequest request)
       EXCLUDES(mu_, stats_mu_);
 
-  /// Enqueues an RR-block fetch (the network scatter-gather unit; see
-  /// RrFetchRequest). Rides the fast lane with the same admission
-  /// control, deadline shedding and per-keyword breaker screening as a
-  /// query, but returns the raw blocks instead of running the greedy. A
+  /// Enqueues an RR-block fetch (a shard's cover session or a remote
+  /// FetchRr; see RrFetchRequest). Rides the fast lane with the same
+  /// admission control, deadline shedding and per-keyword breaker
+  /// screening as a query, but returns the raw blocks instead of running
+  /// the greedy. A
   /// topic out of range or a budget above its θ_w fails the whole fetch
   /// with kInvalidArgument before it is queued.
   std::future<StatusOr<RrFetchResult>> SubmitFetch(RrFetchRequest request)

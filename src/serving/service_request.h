@@ -77,16 +77,18 @@ struct ServiceRequest {
 };
 
 /// What a queued PendingRequest asks the worker to do: solve a query, or
-/// serve the raw per-keyword RR blocks a remote Router gathers (PR 10).
-/// Fetches ride the fast lane with full admission control, deadline-at-
-/// dequeue shedding and per-keyword breaker screening, but skip the
-/// greedy — the router runs it once, over blocks from every shard.
+/// serve raw per-keyword RR blocks — to a shard's cover session, which
+/// runs its share of a routed greedy over them (net/shard_server.h), or
+/// to a remote FetchRr. Fetches ride the fast lane with full admission
+/// control, deadline-at-dequeue shedding and per-keyword breaker
+/// screening, but skip the greedy.
 enum class RequestKind : uint8_t {
   kSolve = 0,
   kFetchRr = 1,
 };
 
-/// One per-keyword RR block fetch (the network scatter-gather unit).
+/// One per-keyword RR block fetch (a cover session's keywords, or a
+/// remote FetchRr).
 struct RrFetchRequest {
   /// Requested keywords and their minimum RR budgets, aligned.
   std::vector<TopicId> topics;

@@ -1,22 +1,34 @@
 // Router golden equality + chaos degradation: a healthy fleet of ANY
 // shard count returns answers byte-identical to the single-process RR
-// index; a dead shard degrades (never hangs, never silently-wrong); open
-// breakers shed in O(1); replicas absorb a kill with a full answer; and a
-// restarted shard is re-admitted within one probe cycle.
+// index and ends every cover session before it answers; a dead shard
+// degrades (never hangs, never silently-wrong); open breakers shed in
+// O(1); replicas absorb a kill with a full answer; a shard lost at the
+// first, a middle or the last step of the greedy is hedged (or degraded
+// without a replica) and the greedy restarts; and a restarted shard is
+// re-admitted within one probe cycle.
 #include "net/router.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "expr/workload.h"
 #include "index/index_builder.h"
 #include "index/rr_index.h"
 #include "net/shard_server.h"
+#include "net/socket.h"
+#include "net/wire_format.h"
+#include "storage/fault_injector.h"
+#include "testing/scoped_fault_injection.h"
 
 namespace kbtim {
 namespace net {
@@ -303,6 +315,237 @@ TEST_F(RouterGoldenTest, RestartedShardReAdmittedWithinOneProbeCycle) {
   const RouterStats stats = (*router)->stats();
   EXPECT_GE(stats.breaker_probes, 1u);
   EXPECT_GE(stats.breaker_closes, 1u);
+}
+
+/// Waits (bounded) until no shard of `fleet` holds a cover session: a
+/// session whose connection the router closed ends when its handler sees
+/// the close.
+void ExpectNoSessions(const Fleet& fleet) {
+  for (const auto& server : fleet) {
+    for (int i = 0; i < 200 && server->open_cover_sessions() > 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(server->open_cover_sessions(), 0u);
+  }
+}
+
+TEST_F(RouterGoldenTest, EveryQueryEndsItsSessions) {
+  Fleet fleet = StartFleet(2);
+  ASSERT_EQ(fleet.size(), 2u);
+  auto router = Router::Create(Addresses(fleet), FastFailOptions());
+  ASSERT_TRUE(router.ok()) << router.status();
+  const Query query{{0, 1, 2, 3, 4}, 12};
+  for (int i = 0; i < 3; ++i) {
+    auto answer = (*router)->Query(query);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    // The router ends every session before it answers: no shard holds
+    // one, or pins a block, between queries.
+    for (const auto& server : fleet) {
+      EXPECT_EQ(server->open_cover_sessions(), 0u);
+    }
+  }
+  const RouterStats stats = (*router)->stats();
+  EXPECT_EQ(stats.greedy_restarts, 0u);
+  EXPECT_EQ(stats.transport_failures, 0u);
+  // One step per selected seed on every session.
+  EXPECT_GE(stats.cover_steps, 3u * query.k);
+  EXPECT_LE(stats.cover_steps, 3u * query.k * fleet.size());
+  EXPECT_GT(stats.response_bytes, 0u);
+}
+
+/// Where a transport fault lands in the owner's session: a step's send
+/// (kNetWrite) or the header read of its reply (kNetRead). On a fresh
+/// router the owner's connection carries the open (write 0, reads 0-1),
+/// then step s (writes s, reads 2s and 2s+1), then the end.
+struct StepFault {
+  const char* where;
+  FaultOp op;
+  uint64_t step;
+};
+
+std::vector<StepFault> StepFaults(uint32_t k) {
+  return {{"first step send", FaultOp::kNetWrite, 1},
+          {"first step reply", FaultOp::kNetRead, 1},
+          {"middle step send", FaultOp::kNetWrite, k / 2},
+          {"middle step reply", FaultOp::kNetRead, k / 2},
+          {"last step send", FaultOp::kNetWrite, k},
+          {"last step reply", FaultOp::kNetRead, k}};
+}
+
+FaultPlan StepFaultPlan(const StepFault& fault, uint16_t port) {
+  FaultPlan plan;
+  const uint64_t op =
+      fault.op == FaultOp::kNetWrite ? fault.step : 2 * fault.step;
+  plan.rules.push_back({"127.0.0.1:" + std::to_string(port), fault.op,
+                        FaultKind::kIOError, op, /*max_faults=*/1});
+  return plan;
+}
+
+TEST_F(RouterGoldenTest, ShardLostMidGreedyHedgesAndRestarts) {
+  Fleet fleet = StartFleet(2);
+  ASSERT_EQ(fleet.size(), 2u);
+  auto rr = RrIndex::Open(*dir_);
+  ASSERT_TRUE(rr.ok());
+  const Query query{{0, 1, 2, 3, 4}, 12};
+  auto golden = rr->Query(query);
+  ASSERT_TRUE(golden.ok());
+
+  for (const StepFault& fault : StepFaults(query.k)) {
+    SCOPED_TRACE(fault.where);
+    RouterOptions options = FastFailOptions();
+    options.replication_factor = 2;
+    auto router = Router::Create(Addresses(fleet), options);
+    ASSERT_TRUE(router.ok()) << router.status();
+    const uint32_t owner = (*router)->ReplicasOf(query.topics[0])[0];
+    StatusOr<SeedSetResult> answer = Status::Internal("unset");
+    {
+      testing::ScopedFaultInjection faults(
+          StepFaultPlan(fault, fleet[owner]->port()));
+      answer = (*router)->Query(query);
+      EXPECT_EQ(FaultInjector::Instance().stats().io_errors, 1u);
+    }
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    // The owner's keywords moved to their second replica and the greedy
+    // ran again from scratch: the answer is full and golden-equal.
+    EXPECT_FALSE(answer->degraded);
+    ExpectGoldenEqual(*answer, *golden);
+    const RouterStats stats = (*router)->stats();
+    EXPECT_EQ(stats.full_answers, 1u);
+    EXPECT_GE(stats.hedged_rpcs, 1u);
+    EXPECT_GE(stats.greedy_restarts, 1u);
+    EXPECT_EQ(stats.transport_failures, 1u);
+    ExpectNoSessions(fleet);
+  }
+}
+
+TEST_F(RouterGoldenTest, ShardLostMidGreedyWithoutReplicaDegrades) {
+  Fleet fleet = StartFleet(2);
+  ASSERT_EQ(fleet.size(), 2u);
+  auto rr = RrIndex::Open(*dir_);
+  ASSERT_TRUE(rr.ok());
+  const Query query{{0, 1, 2, 3, 4}, 12};
+
+  for (const StepFault& fault : StepFaults(query.k)) {
+    SCOPED_TRACE(fault.where);
+    auto router = Router::Create(Addresses(fleet), FastFailOptions());
+    ASSERT_TRUE(router.ok()) << router.status();
+    const uint32_t owner = (*router)->ReplicasOf(query.topics[0])[0];
+    Query reduced{{}, query.k};
+    std::vector<TopicId> lost;
+    for (TopicId t : query.topics) {
+      ((*router)->ReplicasOf(t)[0] == owner ? lost : reduced.topics)
+          .push_back(t);
+    }
+    ASSERT_FALSE(reduced.topics.empty()) << "one shard owns every topic";
+    StatusOr<SeedSetResult> answer = Status::Internal("unset");
+    {
+      testing::ScopedFaultInjection faults(
+          StepFaultPlan(fault, fleet[owner]->port()));
+      answer = (*router)->Query(query);
+    }
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    // No replica to hedge to: the owner's keywords are dropped and the
+    // answer is the in-process answer to the reduced query.
+    EXPECT_TRUE(answer->degraded);
+    EXPECT_EQ(answer->dropped_keywords, lost);
+    auto reduced_golden = rr->Query(reduced);
+    ASSERT_TRUE(reduced_golden.ok());
+    ExpectGoldenEqual(*answer, *reduced_golden);
+    const RouterStats stats = (*router)->stats();
+    EXPECT_EQ(stats.degraded_answers, 1u);
+    EXPECT_EQ(stats.hedged_rpcs, 0u);
+    EXPECT_GE(stats.greedy_restarts, 1u);
+    EXPECT_EQ(stats.budget_recomputes, 1u);
+    ExpectNoSessions(fleet);
+  }
+}
+
+/// A shard that opens sessions but answers every step with one
+/// (vertex, decrement) pair the router must refuse.
+class LyingShard {
+ public:
+  LyingShard(VertexId vertex, uint32_t decrement)
+      : listener_(Listen()), pair_{vertex, decrement} {
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~LyingShard() {
+    stop_.store(true);
+    thread_.join();
+  }
+  uint16_t port() const { return listener_.port(); }
+
+ private:
+  static ServerSocket Listen() {
+    StatusOr<ServerSocket> listener = ServerSocket::Listen(0);
+    EXPECT_TRUE(listener.ok()) << listener.status();
+    return listener.ok() ? std::move(*listener) : ServerSocket();
+  }
+
+  void Serve() {
+    while (!stop_.load()) {
+      StatusOr<Socket> conn = listener_.Accept(20.0);
+      if (!conn.ok()) continue;
+      FrameHeader header;
+      std::string payload, frame;
+      while (!stop_.load()) {
+        StatusOr<bool> readable = conn->PollReadable(20.0);
+        if (!readable.ok()) break;
+        if (!*readable) continue;
+        if (!RecvFrame(*conn, 1000.0, &header, &payload).ok()) break;
+        if (header.type == MsgType::kCoverOpen) {
+          EncodeFrame(MsgType::kCoverCounts, [](WireWriter* w) {
+            EncodeCoverCounts(Status::OK(), {}, {0, 1}, w);
+          }, &frame);
+        } else {
+          EncodeFrame(MsgType::kCoverDecrements, [this](WireWriter* w) {
+            EncodeCoverDecrements(Status::OK(), pair_, w);
+          }, &frame);
+        }
+        if (!conn->SendAll(frame.data(), frame.size(), 1000.0).ok()) break;
+      }
+    }
+  }
+
+  ServerSocket listener_;
+  const std::vector<uint32_t> pair_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST_F(RouterGoldenTest, StepReplyFailingValidationIsATransportFailure) {
+  Fleet fleet = StartFleet(1);
+  ASSERT_EQ(fleet.size(), 1u);
+  auto rr = RrIndex::Open(*dir_);
+  ASSERT_TRUE(rr.ok());
+  const Query query{{0, 1, 2, 3, 4}, 6};
+  auto golden = rr->Query(query);
+  ASSERT_TRUE(golden.ok());
+  const VertexId n = fleet[0]->service().meta().num_vertices;
+  // A vertex past the index, and a decrement above any count.
+  for (const auto& [vertex, decrement] :
+       {std::pair<VertexId, uint32_t>{n, 1}, {0, 0xFFFFFFFFu}}) {
+    SCOPED_TRACE("vertex " + std::to_string(vertex));
+    LyingShard liar(vertex, decrement);
+    RouterOptions options = FastFailOptions();
+    options.replication_factor = 2;
+    // The real shard first: the router reads the meta from it.
+    auto router = Router::Create(
+        {{"127.0.0.1", fleet[0]->port()}, {"127.0.0.1", liar.port()}},
+        options);
+    ASSERT_TRUE(router.ok()) << router.status();
+    bool liar_owns = false;
+    for (TopicId t : query.topics) liar_owns |= (*router)->ReplicasOf(t)[0] == 1;
+    ASSERT_TRUE(liar_owns) << "the real shard owns every topic; rehash";
+
+    auto answer = (*router)->Query(query);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_FALSE(answer->degraded);
+    ExpectGoldenEqual(*answer, *golden);
+    const RouterStats stats = (*router)->stats();
+    EXPECT_EQ(stats.transport_failures, 1u);
+    EXPECT_GE(stats.greedy_restarts, 1u);
+    EXPECT_GE(stats.hedged_rpcs, 1u);
+  }
 }
 
 }  // namespace

@@ -1,18 +1,23 @@
 // ShardServer + ShardClient: framed RPCs against a real QueryService —
 // meta shipping, full solves equal to the in-process engine, RR block
-// fetches (and the refusal of over-budget ones), wire-deadline shedding
-// at dequeue, and client reconnects.
+// fetches (and the refusal of over-budget ones), cover sessions that ship
+// the in-process counts and decrements, wire-deadline shedding at
+// dequeue, client reconnects (never for a cover step), and the release of
+// closed connections' handlers.
 #include "net/shard_server.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "expr/workload.h"
 #include "index/index_builder.h"
+#include "index/rr_greedy.h"
 #include "index/rr_index.h"
 #include "net/shard_client.h"
 #include "storage/io_counter.h"
@@ -237,6 +242,110 @@ TEST_F(ShardServerTest, ClientReconnectsAfterDisconnect) {
   auto meta = client.FetchMeta(&transport_failed);
   ASSERT_TRUE(meta.ok()) << meta.status();
   EXPECT_FALSE(transport_failed);
+}
+
+TEST_F(ShardServerTest, ClosedConnectionsReleaseTheirHandlers) {
+  // Every closed connection's handler thread is joined: a server that kept
+  // them until shutdown kept each one's thread stack mapped, and ran out
+  // of address space after a few hundred connections.
+  auto server = ShardServer::Start(*dir_, DeterministicOptions());
+  ASSERT_TRUE(server.ok()) << server.status();
+  size_t most = 0;
+  for (int i = 0; i < 300; ++i) {
+    ShardClient client("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.FetchMeta().ok()) << "connection " << i;
+    most = std::max(most, (*server)->connection_handlers());
+  }
+  EXPECT_LE(most, 16u);
+  for (int i = 0; i < 200 && (*server)->connection_handlers() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ((*server)->connection_handlers(), 0u);
+}
+
+/// The request of a cover session over every topic with index mass, at
+/// budgets below θ_w so the inverted lists are cut.
+RrFetchRequest SessionRequest(const IndexMeta& meta) {
+  RrFetchRequest request;
+  for (TopicId t = 0; t < meta.num_topics; ++t) {
+    if (meta.topics[t].theta == 0) continue;
+    request.topics.push_back(t);
+    request.budgets.push_back(std::max<uint64_t>(1, meta.topics[t].theta / 2));
+  }
+  return request;
+}
+
+TEST_F(ShardServerTest, CoverSessionShipsTheLocalCountsAndDecrements) {
+  auto server = ShardServer::Start(*dir_, DeterministicOptions());
+  ASSERT_TRUE(server.ok()) << server.status();
+  const IndexMeta& meta = (*server)->service().meta();
+  const RrFetchRequest request = SessionRequest(meta);
+  ASSERT_FALSE(request.topics.empty());
+
+  // The same keywords covered in-process.
+  RrCover local;
+  for (size_t i = 0; i < request.topics.size(); ++i) {
+    auto block = (*server)->service().cache()->GetRrKeyword(
+        request.topics[i], request.budgets[i]);
+    ASSERT_TRUE(block.ok()) << block.status();
+    local.Add(*block, request.budgets[i]);
+  }
+  std::vector<uint32_t> want(meta.num_vertices, 0);
+  local.AddCounts(want);
+
+  ShardClient client("127.0.0.1", (*server)->port());
+  std::vector<uint32_t> got(meta.num_vertices, 0);
+  std::vector<TopicId> dropped;
+  client.StartCoverOpen(request);
+  ASSERT_TRUE(client.FinishCoverOpen(&dropped, &got).ok());
+  EXPECT_TRUE(dropped.empty());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ((*server)->open_cover_sessions(), 1u);
+
+  // Cover the three vertices with the most sets, one step each.
+  for (int step = 0; step < 3; ++step) {
+    const VertexId v = static_cast<VertexId>(
+        std::max_element(want.begin(), want.end()) - want.begin());
+    local.Cover(v, [&](VertexId u) { --want[u]; });
+    ASSERT_TRUE(client.SendCoverStep(v).ok());
+    ASSERT_TRUE(client.RecvCoverStep(&got).ok());
+    EXPECT_EQ(got, want) << "step " << step;
+  }
+
+  std::vector<uint32_t> none;
+  ASSERT_TRUE(client.SendCoverStep(kEndCoverSession).ok());
+  ASSERT_TRUE(client.RecvCoverStep(&none).ok());
+  EXPECT_EQ((*server)->open_cover_sessions(), 0u);
+
+  // A step with no session open is refused, and closes the connection.
+  ASSERT_TRUE(client.SendCoverStep(0).ok());
+  EXPECT_EQ(client.RecvCoverStep(&got).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ShardServerTest, CoverStepIsNeverResentOnANewConnection) {
+  auto server = ShardServer::Start(*dir_, DeterministicOptions());
+  ASSERT_TRUE(server.ok()) << server.status();
+  const IndexMeta& meta = (*server)->service().meta();
+  ShardClient client("127.0.0.1", (*server)->port());
+  std::vector<uint32_t> count(meta.num_vertices, 0);
+  std::vector<TopicId> dropped;
+  client.StartCoverOpen(SessionRequest(meta));
+  ASSERT_TRUE(client.FinishCoverOpen(&dropped, &count).ok());
+  EXPECT_EQ((*server)->open_cover_sessions(), 1u);
+
+  // The session lives on the connection: once it is gone, a step fails
+  // in the client instead of reaching a shard with no session.
+  client.Disconnect();
+  EXPECT_FALSE(client.SendCoverStep(0).ok());
+  EXPECT_FALSE(client.RecvCoverStep(&count).ok());
+  // Closing the connection ended the session on the shard.
+  for (int i = 0; i < 200 && (*server)->open_cover_sessions() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ((*server)->open_cover_sessions(), 0u);
+  // Idempotent RPCs still redial.
+  EXPECT_TRUE(client.FetchMeta().ok());
 }
 
 TEST_F(ShardServerTest, DeadServerIsTransportFailureNotHang) {

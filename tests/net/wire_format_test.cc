@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 namespace kbtim {
 namespace net {
@@ -186,6 +188,169 @@ TEST(WireFetch, RejectsInconsistentOffsets) {
   result.blocks = {block};
   auto res = DecodeFetchResponse(EncodeFetchResponse(result));
   EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+}
+
+/// A one-block fetch response: two RR sets {10, 20} and {30} over
+/// vertices 10, 20 and 30.
+std::shared_ptr<RrKeywordBlock> TwoSetBlock() {
+  auto block = std::make_shared<RrKeywordBlock>();
+  block->loaded_budget = 2;
+  block->set_offsets = {0, 2, 3};
+  block->set_items = {10, 20, 30};
+  block->list_vertex = {10, 20, 30};
+  block->list_offsets = {0, 1, 2, 3};
+  block->list_ids = {0, 0, 1};
+  return block;
+}
+
+StatusCode DecodedCode(const std::shared_ptr<RrKeywordBlock>& block,
+                       VertexId num_vertices = 1000) {
+  RrFetchResult result;
+  result.blocks = {block};
+  return DecodeFetchResponse(EncodeFetchResponse(result), num_vertices)
+      .status()
+      .code();
+}
+
+TEST(WireFetch, RefusesListIdPastLoadedBudget) {
+  // The greedy indexes each keyword's covered bitset by RR id: an id past
+  // loaded_budget would write past it.
+  auto block = TwoSetBlock();
+  block->list_ids = {0, 0, 5000};
+  EXPECT_EQ(DecodedCode(block), StatusCode::kCorruption);
+}
+
+TEST(WireFetch, RefusesListIdsOutOfOrder) {
+  auto block = TwoSetBlock();
+  block->list_vertex = {10, 20};
+  block->list_offsets = {0, 2, 3};
+  block->list_ids = {1, 0, 0};  // vertex 10's list descends
+  EXPECT_EQ(DecodedCode(block), StatusCode::kCorruption);
+  block->list_ids = {0, 0, 0};  // ... or repeats an id
+  EXPECT_EQ(DecodedCode(block), StatusCode::kCorruption);
+}
+
+TEST(WireFetch, RefusesListVerticesOutOfOrder) {
+  auto block = TwoSetBlock();
+  block->list_vertex = {10, 30, 20};
+  EXPECT_EQ(DecodedCode(block), StatusCode::kCorruption);
+  block->list_vertex = {10, 10, 30};
+  EXPECT_EQ(DecodedCode(block), StatusCode::kCorruption);
+}
+
+TEST(WireFetch, RefusesVerticesPastTheIndex) {
+  auto block = TwoSetBlock();
+  EXPECT_EQ(DecodedCode(block, 31), StatusCode::kOk);
+  EXPECT_EQ(DecodedCode(block, 30), StatusCode::kCorruption);
+  // A set member past the index, with every list vertex inside it.
+  block->set_items = {10, 20, 900};
+  EXPECT_EQ(DecodedCode(block, 100), StatusCode::kCorruption);
+  // The default bound is the id type's: the one-argument form still
+  // decodes what the meta would refuse.
+  RrFetchResult result;
+  result.blocks = {block};
+  EXPECT_TRUE(DecodeFetchResponse(EncodeFetchResponse(result)).ok());
+}
+
+TEST(WireMeta, RefusesTopicTableLargerThanThePayload) {
+  // A row count the payload cannot hold must be refused before the table
+  // is allocated (2^32 - 1 rows would ask for about 200 GB).
+  IndexMeta meta;
+  meta.num_topics = 1;
+  meta.topics.resize(1);
+  std::string payload = EncodeMetaResponse(meta);
+  // The status (code byte + empty message) and fixed fields precede the
+  // row count; patch num_topics and the row count together.
+  const uint32_t huge = 0xFFFFFFFFu;
+  const uint64_t rows = huge;
+  const size_t num_topics_at = 1 + 4 + 4 + 3 + 8 + 4 + 4 + 4;
+  std::memcpy(payload.data() + num_topics_at, &huge, 4);
+  std::memcpy(payload.data() + num_topics_at + 4 + 2, &rows, 8);
+  EXPECT_EQ(DecodeMetaResponse(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
+/// Builds a cover reply payload with the writer-form encoder.
+template <typename Encode>
+std::string Payload(Encode encode) {
+  std::string out;
+  WireWriter w(&out);
+  encode(&w);
+  return out;
+}
+
+TEST(WireCover, CountsAndDecrementsRoundTrip) {
+  std::vector<uint32_t> count(8, 0);
+  count[2] = 1;
+  Status remote;
+  std::vector<TopicId> dropped;
+  const std::string counts = Payload([](WireWriter* w) {
+    EncodeCoverCounts(Status::OK(), {4}, {2, 5, 7, 3}, w);
+  });
+  ASSERT_TRUE(DecodeCoverCounts(counts, &remote, &dropped, &count).ok());
+  EXPECT_TRUE(remote.ok());
+  EXPECT_EQ(dropped, std::vector<TopicId>{4});
+  EXPECT_EQ(count, (std::vector<uint32_t>{0, 0, 6, 0, 0, 0, 0, 3}));
+
+  const std::string decrements = Payload([](WireWriter* w) {
+    EncodeCoverDecrements(Status::OK(), {7, 3, 2, 1}, w);
+  });
+  ASSERT_TRUE(DecodeCoverDecrements(decrements, &remote, &count).ok());
+  EXPECT_TRUE(remote.ok());
+  EXPECT_EQ(count, (std::vector<uint32_t>{0, 0, 5, 0, 0, 0, 0, 0}));
+
+  auto step = DecodeCoverStep(
+      Payload([](WireWriter* w) { EncodeCoverStep(kEndCoverSession, w); }));
+  ASSERT_TRUE(step.ok());
+  EXPECT_EQ(*step, kEndCoverSession);
+
+  // The shard's own refusal comes back in *remote, not as a bad payload.
+  const std::string refused = Payload([](WireWriter* w) {
+    EncodeCoverDecrements(Status::FailedPrecondition("no cover session"), {},
+                          w);
+  });
+  ASSERT_TRUE(DecodeCoverDecrements(refused, &remote, &count).ok());
+  EXPECT_EQ(remote.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(WireCover, RefusesRepliesThatWouldCorruptTheCounts) {
+  Status remote;
+  std::vector<TopicId> dropped;
+  std::vector<uint32_t> count(4, 0);
+  count[1] = 2;
+  const auto decrements = [](std::vector<uint32_t> pairs) {
+    return Payload([&](WireWriter* w) {
+      EncodeCoverDecrements(Status::OK(), pairs, w);
+    });
+  };
+  // A vertex past the index.
+  EXPECT_EQ(DecodeCoverDecrements(decrements({4, 1}), &remote, &count).code(),
+            StatusCode::kCorruption);
+  // A decrement above the current count: a uint32 count never wraps.
+  EXPECT_EQ(DecodeCoverDecrements(decrements({1, 3}), &remote, &count).code(),
+            StatusCode::kCorruption);
+  // Two pairs for one vertex are checked against the running count.
+  count[1] = 2;
+  EXPECT_EQ(
+      DecodeCoverDecrements(decrements({1, 2, 1, 1}), &remote, &count).code(),
+      StatusCode::kCorruption);
+  // An odd number of words is not a list of pairs.
+  EXPECT_EQ(DecodeCoverDecrements(decrements({1}), &remote, &count).code(),
+            StatusCode::kCorruption);
+
+  // Initial counts: a sum past 2^32 - 1 and a vertex past the index.
+  count.assign(4, 0xFFFFFFF0u);
+  const std::string overflow = Payload([](WireWriter* w) {
+    EncodeCoverCounts(Status::OK(), {}, {0, 0x10}, w);
+  });
+  EXPECT_EQ(DecodeCoverCounts(overflow, &remote, &dropped, &count).code(),
+            StatusCode::kCorruption);
+  count.assign(4, 0);
+  const std::string past = Payload([](WireWriter* w) {
+    EncodeCoverCounts(Status::OK(), {}, {9, 1}, w);
+  });
+  EXPECT_EQ(DecodeCoverCounts(past, &remote, &dropped, &count).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(WireEmptyVectors, RoundTripWithoutDroppedKeywords) {
